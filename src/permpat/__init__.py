@@ -4,6 +4,8 @@ monotone and geometric grid classes, and infinite antichain families —
 all brute-force cross-validated by a built-in property battery.
 """
 
+from importlib import import_module as _import_module
+
 from .guards import SizeGuardError
 from .perm import (
     Perm,
@@ -139,6 +141,18 @@ from .antichains import (
     verify_antichain,
     widdershins_member,
 )
-from .suite import CheckResult, OPEN_QUESTIONS, SuiteResult, run_suite
+
+#: The property battery (``permpat.suite``) is the largest module and only
+#: ``paper-suite`` and the tests run it, so its names load it on first use.
+_SUITE_NAMES = ("CheckResult", "OPEN_QUESTIONS", "SuiteResult", "run_suite")
+
+
+def __getattr__(name):
+    if name == "suite" or name in _SUITE_NAMES:
+        suite = _import_module(".suite", __name__)
+        return suite if name == "suite" else getattr(suite, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "1.0.0"
+__all__ = [name for name in globals() if not name.startswith("_")] + ["suite", *_SUITE_NAMES]

@@ -78,13 +78,17 @@ def avoiding(*basis: Perm, name: Optional[str] = None) -> PermClass:
     return PermClass(tuple(basis), name)
 
 
+#: Default length cap of :func:`enumerate_members`.
+ENUMERATE_MAX_N = 10
+
+
 def enumerate_members(c: PermClass, n: int, max_n: Optional[int] = None) -> tuple:
     """All members of length ``n``, sorted lexicographically.
 
     >>> enumerate_members(avoiding((2, 1)), 5)
     ((1, 2, 3, 4, 5),)
     """
-    check_size("enumerate", n, 10, max_n)
+    check_size("enumerate", n, ENUMERATE_MAX_N, max_n)
     return tuple(pi for pi in all_perms(n) if c.member(pi))
 
 

@@ -19,7 +19,7 @@ from . import grids as gr
 from . import invgraph as ig
 from . import labels as lb
 from . import perm as pm
-from .guards import SizeGuardError
+from .guards import SizeGuardError, check_size
 from .suite import run_suite
 
 Outcome = Tuple[int, List[str], dict]
@@ -173,21 +173,30 @@ def _do_member(args) -> Outcome:
     return (0 if verdict else 1), [str(verdict).lower()], {"member": verdict}
 
 
-def _do_enumerate(args) -> Outcome:
-    c = _class_from_flag(args)
+def _counts_by_length(members_of, args, what: str, cap: int) -> Tuple[List[str], dict]:
+    """Count (and with ``--members`` list) ``members_of(n)`` for n = 1..N,
+    refusing an N above the size cap before any length is enumerated."""
+    check_size(what, args.n, cap, args.max_n)
     lines = ["length,count"]
-    counts = {}
-    members = {}
+    out = {"counts": {}}
+    if args.members:
+        out["members"] = {}
     for n in range(1, args.n + 1):
-        ms = cl.enumerate_members(c, n, max_n=args.max_n)
-        counts[n] = len(ms)
+        ms = members_of(n)
+        out["counts"][n] = len(ms)
         lines.append(f"{n},{len(ms)}")
         if args.members:
-            members[n] = [list(p) for p in ms]
+            out["members"][n] = [list(p) for p in ms]
             lines.extend(f"  {pm.format_perm(p)}" for p in ms)
-    out = {"counts": counts}
-    if args.members:
-        out["members"] = members
+    return lines, out
+
+
+def _do_enumerate(args) -> Outcome:
+    c = _class_from_flag(args)
+    lines, out = _counts_by_length(
+        lambda n: cl.enumerate_members(c, n, max_n=args.max_n),
+        args, "enumerate", cl.ENUMERATE_MAX_N,
+    )
     return 0, lines, out
 
 
@@ -249,20 +258,11 @@ def _do_geom_member(args) -> Outcome:
 
 def _do_grid_enum(args) -> Outcome:
     m = _matrix_from_flag(args)
-    lines = ["length,count"]
-    counts = {}
-    members = {}
-    for n in range(1, args.n + 1):
-        ms = gr.enumerate_grid(m, n, args.kind, max_n=args.max_n)
-        counts[n] = len(ms)
-        lines.append(f"{n},{len(ms)}")
-        if args.members:
-            members[n] = [list(p) for p in ms]
-            lines.extend(f"  {pm.format_perm(p)}" for p in ms)
-    out = {"kind": args.kind, "counts": counts}
-    if args.members:
-        out["members"] = members
-    return 0, lines, out
+    lines, out = _counts_by_length(
+        lambda n: gr.enumerate_grid(m, n, args.kind, max_n=args.max_n),
+        args, "enumerate_grid", gr.ENUMERATE_GRID_MAX_N,
+    )
+    return 0, lines, {"kind": args.kind, **out}
 
 
 def _do_cellgraph(args) -> Outcome:

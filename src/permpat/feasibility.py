@@ -1,73 +1,124 @@
-"""Exact rational feasibility for systems of strict linear inequalities.
+"""Exact rational feasibility for strict unit two-variable (UTVPI) systems.
 
-Strictness is handled by adjoining one margin variable: each constraint
-``a·x < r`` becomes ``a·x + e ≤ r``, and the system is satisfiable strictly
-iff the weak system admits a solution with ``e > 0``.  Variables are
-eliminated by Fourier–Motzkin over ``fractions.Fraction``; a witness is
-recovered by choosing the margin first and back-substituting through the
-recorded elimination stages in reverse.
+Every row must read ``s_a·t_a + s_b·t_b < c`` or ``s·t_a < c`` with signs
+``s = ±1`` once scaled by a positive number (the octagon constraints of
+Miné 2006); anything else raises ``ValueError``.  Such a system is decided
+by negative-cycle detection on the doubled constraint graph, whose nodes are
+``+t_i`` and ``−t_i``: a binary row gives the edges ``−s_b·t_b → s_a·t_a``
+and ``−s_a·t_a → s_b·t_b`` of weight ``c``, a unary row the edge
+``−s·t_a → s·t_a`` of weight ``2c``.  Right-hand sides are scaled to a
+common integer denominator ``den`` and each weight ``w`` becomes the integer
+``w·K − 1`` with ``K = 2·nvars + 1``: a simple cycle has at most
+``2·nvars`` edges, so it is negative exactly when its true weight is ≤ 0,
+strictness counted.
+
+Both outcomes carry a certificate.  With no negative cycle, Bellman–Ford
+distances ``d`` from a virtual source give the witness
+``t_i = (d(+t_i) − d(−t_i)) / (2·K·den)``.  A negative cycle's rows, with
+multiplier 1 for binary rows and 2 for unary ones, sum to ``0 < c`` with
+``c ≤ 0``; that sum is re-checked before the system is declared infeasible.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
-# A constraint is (coeffs, rhs) meaning sum(coeffs[i] * x[i]) <= rhs.
+# A constraint is (coeffs, rhs) meaning sum(coeffs[i] * x[i]) < rhs.
 Constraint = tuple
 
 
-def _normalize(coeffs: tuple, rhs: Fraction) -> Optional[Constraint]:
-    """Scale by the first nonzero coefficient's magnitude (a positive
-    number, so the inequality is preserved); constant rows return None."""
-    for c in coeffs:
-        if c != 0:
-            scale = abs(c)
-            return (tuple(x / scale for x in coeffs), rhs / scale)
-    return None
-
-
-def _eliminate(constraints: set, k: int) -> Optional[set]:
-    """Project out variable ``k``; None signals a violated constant row."""
-    pos, neg, rest = [], [], set()
+def _unit_rows(nvars: int, constraints: Iterable[Constraint]) -> tuple:
+    """Each row scaled to unit coefficients, as ``(terms, rhs, scale)`` with
+    ``terms`` the ``(variable, sign)`` pairs and ``scale`` the positive
+    divisor applied to the original row."""
+    rows = []
     for coeffs, rhs in constraints:
-        if coeffs[k] > 0:
-            pos.append((coeffs, rhs))
-        elif coeffs[k] < 0:
-            neg.append((coeffs, rhs))
-        else:
-            rest.add((coeffs, rhs))
-    for pc, pr in pos:
-        for nc, nr in neg:
-            coeffs = tuple(
-                pcoef / pc[k] - ncoef / nc[k] for pcoef, ncoef in zip(pc, nc)
-            )
-            rhs = pr / pc[k] - nr / nc[k]
-            norm = _normalize(coeffs, rhs)
-            if norm is None:
-                if rhs < 0:
-                    return None
-            else:
-                rest.add(norm)
-    return rest
+        if len(coeffs) != nvars:
+            raise ValueError(f"expected {nvars} coefficients, got {len(coeffs)}")
+        nonzero = [(i, c) for i, c in enumerate(coeffs) if c != 0]
+        scale = abs(nonzero[0][1]) if nonzero else 1
+        if len(nonzero) > 2 or any(abs(c) != scale for _, c in nonzero):
+            raise ValueError(f"not a unit two-variable row: {tuple(coeffs)} < {rhs}")
+        if scale != 1 or not isinstance(rhs, int):
+            rhs = Fraction(rhs) / scale
+        rows.append((tuple((i, 1 if c > 0 else -1) for i, c in nonzero), rhs, scale))
+    return tuple(rows)
 
 
-def _bounds_for(constraints, k: int, values: dict):
-    """Lower/upper bounds on variable ``k`` given already-chosen values for
-    every other variable appearing with a nonzero coefficient."""
-    lo, hi = None, None
-    for coeffs, rhs in constraints:
-        ck = coeffs[k]
-        if ck == 0:
-            continue
-        residual = rhs - sum(
-            c * values[i] for i, c in enumerate(coeffs) if c != 0 and i != k
-        )
-        bound = residual / ck
-        if ck > 0:
-            hi = bound if hi is None else min(hi, bound)
+def _decide(nvars: int, constraints: Iterable[Constraint]) -> tuple:
+    """``(witness, None)`` for a feasible strict system, else
+    ``(None, certificate)``: ``(row index, multiplier)`` pairs with positive
+    multipliers under which the rows sum to ``0 < c`` for some ``c ≤ 0``.
+
+    >>> _decide(1, [((1,), 0), ((-1,), 0)])
+    (None, ((0, Fraction(2, 1)), (1, Fraction(2, 1))))
+    """
+    rows = _unit_rows(nvars, constraints)
+    den = lcm(*(rhs.denominator for _, rhs, _ in rows))
+    k = 2 * nvars + 1
+    edges = []  # (tail, head, weight, row index, multiplier)
+    for index, (terms, rhs, _) in enumerate(rows):
+        c = rhs.numerator * (den // rhs.denominator)
+        # Node 2i is +t_i and node 2i+1 is −t_i, so node ^ 1 negates.
+        heads = [2 * i + (s < 0) for i, s in terms]
+        if not heads:
+            if c <= 0:
+                return None, _certificate(rows, {index: 1})
+        elif len(heads) == 1:
+            edges.append((heads[0] ^ 1, heads[0], 2 * c * k - 1, index, 2))
         else:
-            lo = bound if lo is None else max(lo, bound)
-    return lo, hi
+            na, nb = heads
+            edges.append((nb ^ 1, na, c * k - 1, index, 1))
+            edges.append((na ^ 1, nb, c * k - 1, index, 1))
+
+    # Every distance starts at 0, as if a virtual source had a zero-weight
+    # edge to each node.  Without a negative cycle, 2·nvars rounds settle
+    # them all; a round after that which still relaxes an edge proves one.
+    nodes = 2 * nvars
+    dist = [0] * nodes
+    pred = [None] * nodes
+    for _ in range(nodes + 1):
+        last = None
+        for edge in edges:
+            d = dist[edge[0]] + edge[2]
+            if d < dist[edge[1]]:
+                dist[edge[1]] = d
+                pred[edge[1]] = edge
+                last = edge[1]
+        if last is None:
+            return tuple(
+                Fraction(dist[2 * i] - dist[2 * i + 1], 2 * k * den) for i in range(nvars)
+            ), None
+
+    # Walking back 2·nvars predecessor edges from the last relaxed node
+    # lands on a cycle of the predecessor graph, and such a cycle is negative.
+    node = last
+    for _ in range(nodes):
+        node = pred[node][0]
+    multipliers, at = {}, node
+    while True:
+        edge = pred[at]
+        multipliers[edge[3]] = multipliers.get(edge[3], 0) + edge[4]
+        at = edge[0]
+        if at == node:
+            return None, _certificate(rows, multipliers)
+
+
+def _certificate(rows: tuple, multipliers: dict) -> tuple:
+    """The unit rows summed with ``multipliers`` must read ``0 < c``, c ≤ 0;
+    returns the multipliers for the original rows."""
+    coeffs, total = {}, 0
+    for index, mult in multipliers.items():
+        terms, rhs, _ = rows[index]
+        total += mult * rhs
+        for i, s in terms:
+            coeffs[i] = coeffs.get(i, 0) + mult * s
+    if any(coeffs.values()) or total > 0:
+        raise RuntimeError(f"refutation does not sum to 0 < c <= 0: {coeffs}, {total}")
+    return tuple(
+        (index, Fraction(mult) / rows[index][2]) for index, mult in sorted(multipliers.items())
+    )
 
 
 def solve_strict(
@@ -77,68 +128,16 @@ def solve_strict(
     None when the strict system is infeasible.
 
     Each constraint is ``(coeffs, rhs)`` with ``len(coeffs) == nvars``;
-    entries may be ints or Fractions.  The witness is a tuple of ``nvars``
-    Fractions satisfying every constraint strictly.
+    entries may be ints or Fractions, and every row must be a positive
+    multiple of a unit two-variable row.  The witness is a tuple of
+    ``nvars`` Fractions satisfying every constraint strictly.
 
     >>> solve_strict(1, [((1,), 1), ((-1,), 0)])
-    (Fraction(1, 2),)
+    (Fraction(1, 6),)
     >>> solve_strict(1, [((1,), 0), ((-1,), 0)]) is None
     True
     """
-    margin = nvars  # index of the adjoined margin variable
-    system = set()
-    for coeffs, rhs in constraints:
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != nvars:
-            raise ValueError(f"expected {nvars} coefficients, got {len(coeffs)}")
-        norm = _normalize(coeffs + (Fraction(1),), Fraction(rhs))
-        system.add(norm)
-
-    # Eliminate the original variables, cheapest first, keeping each
-    # pre-elimination stage for back-substitution.
-    stages = []
-    remaining = list(range(nvars))
-    while remaining:
-        def cost(k):
-            p = sum(1 for c, _ in system if c[k] > 0)
-            m = sum(1 for c, _ in system if c[k] < 0)
-            return p * m if (p and m) else p + m
-        k = min(remaining, key=cost)
-        remaining.remove(k)
-        stages.append((k, system))
-        result = _eliminate(system, k)
-        if result is None:
-            return None
-        system = result
-
-    # Only the margin variable is left; it never acquires a negative
-    # coefficient, so it has upper bounds and constant rows only.
-    hi = None
-    for coeffs, rhs in system:
-        ck = coeffs[margin]
-        if ck == 0:
-            if rhs < 0:
-                return None
-        else:
-            bound = rhs / ck
-            hi = bound if hi is None else min(hi, bound)
-    if hi is not None and hi <= 0:
-        return None
-    values = {margin: Fraction(1) if hi is None else hi / 2}
-
-    # Reverse back-substitution: each stage's system constrains its variable
-    # only through variables chosen later.
-    for k, stage in reversed(stages):
-        lo, up = _bounds_for(stage, k, values)
-        if lo is None and up is None:
-            values[k] = Fraction(0)
-        elif lo is None:
-            values[k] = up - 1
-        elif up is None:
-            values[k] = lo + 1
-        else:
-            values[k] = (lo + up) / 2
-    return tuple(values[i] for i in range(nvars))
+    return _decide(nvars, constraints)[0]
 
 
 def check_strict(

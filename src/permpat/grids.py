@@ -284,7 +284,8 @@ def geom_member(
         constraints = _geometric_system(gp, m)
         witness = solve_strict(len(pi), constraints)
         if witness is not None:
-            assert check_strict(witness, constraints)
+            if not check_strict(witness, constraints):
+                raise RuntimeError(f"drawing of {pi} fails its own constraints: {witness}")
             return gp, witness
     return None
 
@@ -303,6 +304,8 @@ def drawing_coordinates(
 
 
 GRID_KINDS = ("monotone", "geometric")
+#: Default length cap of :func:`enumerate_grid`.
+ENUMERATE_GRID_MAX_N = 7
 
 
 def enumerate_grid(
@@ -317,7 +320,7 @@ def enumerate_grid(
     """
     if kind not in GRID_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {GRID_KINDS}")
-    check_size("enumerate_grid", n, 7, max_n)
+    check_size("enumerate_grid", n, ENUMERATE_GRID_MAX_N, max_n)
     out = []
     for pi in all_perms(n):
         if kind == "monotone":

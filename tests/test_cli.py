@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from permpat import classes as cl
+from permpat import grids as gr
 from permpat.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -276,6 +278,21 @@ class TestExitCodesAndGuards:
         code, out, err = run(capsys, "enumerate", "11", "--class", AV12_JSON)
         assert code == 3
         assert "size-guard refusal" in err
+
+    def test_size_guard_refuses_before_any_length(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a length was enumerated before the refusal")
+
+        monkeypatch.setattr(cl, "enumerate_members", no_work)
+        monkeypatch.setattr(gr, "enumerate_grid", no_work)
+        code, _, err = run(capsys, "enumerate", "11", "--class", AV12_JSON)
+        assert code == 3 and "size-guard refusal" in err
+        code, _, err = run(capsys, "grid-enum", "8", "--matrix", X_JSON)
+        assert code == 3 and "size-guard refusal" in err
+        code, _, err = run(
+            capsys, "enumerate", "12", "--class", AV12_JSON, "--max-n", "11"
+        )
+        assert code == 3 and "size-guard refusal" in err
 
     def test_max_n_override_warns(self, capsys):
         code, out, err = run(

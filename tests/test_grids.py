@@ -3,6 +3,7 @@ geometric grid classes, drawings, and griddability evidence."""
 
 import pytest
 
+from permpat import grids
 from permpat import (
     GRIDDABILITY_NOTE,
     GriddedPermutation,
@@ -205,6 +206,12 @@ class TestDrawings:
     def test_parameters_stay_inside_cells(self):
         gp, params = geom_member((2, 1, 3), X_MATRIX)
         assert all(0 < t < 1 for t in params)
+
+    def test_witness_failing_its_system_raises(self, monkeypatch):
+        # an explicit check, so it also holds under python -O
+        monkeypatch.setattr(grids, "solve_strict", lambda nvars, rows: (0,) * nvars)
+        with pytest.raises(RuntimeError, match="fails its own constraints"):
+            geom_member((2, 1, 3), X_MATRIX)
 
 
 class TestBoundaryRegression:
