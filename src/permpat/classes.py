@@ -10,19 +10,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .guards import check_size
 from .perm import (
     Perm,
-    all_perms,
     check_perm,
     components,
     contains,
     decompose_tree,
+    delete_entry,
     is_simple,
     one_point_deletions,
-    one_point_extensions,
     patterns_of_length,
 )
 
@@ -78,6 +77,52 @@ def avoiding(*basis: Perm, name: Optional[str] = None) -> PermClass:
     return PermClass(tuple(basis), name)
 
 
+def _layers(
+    oracle: Callable[[Perm], bool], nmax: int, probes: Optional[int] = None
+) -> Iterator[tuple]:
+    """Yield ``(members, minimal_nonmembers)`` of a downward-closed set, as
+    two sets, for each length 0..nmax in turn.
+
+    A length-n candidate is a length-(n-1) member with the value n inserted
+    at one position; deleting its maximum gives back that parent, so every
+    permutation is a candidate at most once.  A candidate is rejected as
+    soon as a probed one-point deletion is missing from the previous layer,
+    and only a survivor is put to ``oracle``.  With ``probes=None`` every
+    deletion is probed, so a survivor the oracle refuses is exactly a
+    minimal nonmember.
+
+    For a class with basis elements of length at most k, probing k
+    deletions (other than the inserted point) is already exact with the
+    oracle ``pi not in basis``: the parent avoids the basis, so an
+    occurrence of a basis element uses the inserted point and at most k-1
+    other entries, and deleting any probed entry outside it leaves a
+    nonmember.  When fewer than k other entries exist, all are probed, and
+    the only occurrence that can remain is the whole candidate.
+    """
+    members = {()} if oracle(()) else set()
+    yield members, (set() if members else {()})
+    for n in range(1, nmax + 1):
+        others = n - 1 if probes is None else min(probes, n - 1)
+        probe_at = [
+            [i for i in range(1, n + 1) if i != pos + 1][:others] for pos in range(n)
+        ]
+        prev, members, nonmembers = members, set(), set()
+        for parent in prev:
+            for pos in range(n):
+                pi = parent[:pos] + (n,) + parent[pos:]
+                for i in probe_at[pos]:
+                    if delete_entry(pi, i) not in prev:
+                        break
+                else:
+                    (members if oracle(pi) else nonmembers).add(pi)
+        yield members, nonmembers
+
+
+def _class_layers(c: PermClass, nmax: int) -> Iterator[tuple]:
+    """:func:`_layers` of a finitely based class, with no containment test."""
+    return _layers(lambda pi: pi not in c.basis, nmax, c.max_basis_length())
+
+
 #: Default length cap of :func:`enumerate_members`.
 ENUMERATE_MAX_N = 10
 
@@ -89,36 +134,17 @@ def enumerate_members(c: PermClass, n: int, max_n: Optional[int] = None) -> tupl
     ((1, 2, 3, 4, 5),)
     """
     check_size("enumerate", n, ENUMERATE_MAX_N, max_n)
-    return tuple(pi for pi in all_perms(n) if c.member(pi))
+    for members, _ in _class_layers(c, n):
+        pass
+    return tuple(sorted(members))
 
 
 def _minimal_nonmembers_unbounded(
     oracle: Callable[[Perm], bool], nmax: int
 ) -> tuple:
-    """Minimal nonmembers of a downward-closed oracle, lengths 0..nmax.
-
-    Works bottom-up over one-point extensions of the member set, which is
-    exhaustive precisely because the oracle is downward-closed: every member
-    of length n arises by extending a member of length n-1, and every
-    minimal nonmember extends one of its own (member) deletions.
-    """
-    out = []
-    empty = ()
-    if not oracle(empty):
-        return (empty,)
-    members_prev = {empty}
-    for n in range(1, nmax + 1):
-        members_here = set()
-        candidates = set()
-        for m in members_prev:
-            candidates.update(one_point_extensions(m))
-        for pi in sorted(candidates, key=_perm_sort_key):
-            if oracle(pi):
-                members_here.add(pi)
-            elif all(d in members_prev for d in one_point_deletions(pi)):
-                out.append(pi)
-        members_prev = members_here
-    return tuple(sorted(out, key=_perm_sort_key))
+    """Minimal nonmembers of a downward-closed oracle, lengths 0..nmax."""
+    found = [pi for _, nonmembers in _layers(oracle, nmax) for pi in nonmembers]
+    return tuple(sorted(found, key=_perm_sort_key))
 
 
 def minimal_nonmembers(
@@ -293,11 +319,12 @@ def simples_in_class(
     ((1, 2), (2, 1), (2, 4, 1, 3), (3, 1, 4, 2))
     """
     check_size("simples_in_class", nmax, 9, max_n)
-    out = []
-    for n in range(2, nmax + 1):
-        for pi in all_perms(n):
-            if is_simple(pi) and c.member(pi):
-                out.append(pi)
+    out = [
+        pi
+        for members, _ in _class_layers(c, nmax)
+        for pi in members
+        if len(pi) >= 2 and is_simple(pi)
+    ]
     return tuple(sorted(out, key=_perm_sort_key))
 
 

@@ -24,7 +24,10 @@ def check_size(what: str, actual: int, default_limit: int, override: int | None 
     """Raise :class:`SizeGuardError` when ``actual`` exceeds the effective cap.
 
     ``override`` replaces the default cap when given (CLI ``--max-n``).
+    A negative size is refused with a plain :class:`ValueError`.
     """
+    if actual < 0:
+        raise ValueError(f"{what}: size {actual} is negative")
     limit = default_limit if override is None else override
     if actual > limit:
         raise SizeGuardError(what, actual, limit)

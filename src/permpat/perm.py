@@ -309,7 +309,8 @@ def delete_entry(pi: Perm, i: int) -> Perm:
     """
     if not 1 <= i <= len(pi):
         raise IndexError(f"position {i} out of range for |pi|={len(pi)}")
-    return reduce_sequence(pi[: i - 1] + pi[i:])
+    gone = pi[i - 1]
+    return tuple([v - 1 if v > gone else v for v in pi if v != gone])
 
 
 def one_point_deletions(pi: Perm) -> list:

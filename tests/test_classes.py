@@ -1,10 +1,13 @@
 """Class algebra: avoidance classes, basis search, the one-point extension,
 closure operators, and class-level enumeration."""
+import random
+
 import pytest
 
 from permpat import (
     PermClass,
     SizeGuardError,
+    all_perms,
     avoiding,
     class_from_json,
     class_to_json,
@@ -14,7 +17,10 @@ from permpat import (
     downward_closure,
     enumerate_members,
     increasing_oscillations,
+    is_simple,
     minimal_nonmembers,
+    one_point_deletions,
+    perms_up_to,
     plus_one_basis,
     plus_one_member,
     simples_in_class,
@@ -69,6 +75,11 @@ class TestEnumeration:
         ms = enumerate_members(SEPARABLE, 3)
         assert ms == tuple(sorted(ms))
 
+    def test_negative_length_refused(self):
+        with pytest.raises(ValueError, match="negative") as info:
+            enumerate_members(avoiding((2, 1)), -1)
+        assert not isinstance(info.value, SizeGuardError)
+
 
 class TestMinimalNonmembers:
     def test_separable_basis_recovered(self):
@@ -92,6 +103,10 @@ class TestMinimalNonmembers:
 
     def test_false_on_empty_perm(self):
         assert minimal_nonmembers(lambda p: False, 4) == ((),)
+
+    def test_negative_length_refused(self):
+        with pytest.raises(ValueError, match="negative"):
+            minimal_nonmembers(lambda p: False, -1)
 
     def test_guard(self):
         with pytest.raises(SizeGuardError):
@@ -212,3 +227,78 @@ class TestDownwardClosure:
 
     def test_short_members_skipped(self):
         assert downward_closure([(1,), (2, 1, 3)], 2) == ((1, 2), (2, 1))
+
+
+# ---------------------------------------------------------------------------
+# the layer generator against sweeps over every permutation
+
+
+def _seeded_bases(seed: int, count: int, max_len: int) -> list:
+    rng = random.Random(seed)
+    bases = []
+    for _ in range(count):
+        lengths = [rng.randint(1, max_len) for _ in range(rng.randint(1, 3))]
+        bases.append(tuple(tuple(rng.sample(range(1, k + 1), k)) for k in lengths))
+    return bases
+
+
+#: The empty basis, a basis holding the empty permutation, Av(1), elements
+#: longer than any n swept below, and seeded bases of 1-3 patterns.
+EDGE_BASES = [(), ((),), ((1,),), ((2, 4, 1, 3, 5, 7, 6),), ((1, 2), (3, 1, 4, 2, 5, 7, 6))]
+SWEEP_BASES = EDGE_BASES + _seeded_bases(4101, 14, 5)
+
+
+def _minimal_nonmembers_by_sweep(oracle, nmax: int) -> tuple:
+    return tuple(
+        pi
+        for pi in perms_up_to(nmax)
+        if not oracle(pi) and all(oracle(d) for d in one_point_deletions(pi))
+    )
+
+
+class TestLayersAgainstSweeps:
+    @pytest.mark.parametrize("basis", SWEEP_BASES)
+    def test_enumerate_members(self, basis):
+        c = PermClass(basis)
+        for n in range(0, 7):
+            expected = tuple(pi for pi in all_perms(n) if c.member(pi))
+            assert enumerate_members(c, n) == expected, n
+
+    @pytest.mark.parametrize("basis", SWEEP_BASES)
+    def test_simples_in_class(self, basis):
+        c = PermClass(basis)
+        for nmax in (0, 1, 6):
+            expected = tuple(
+                pi
+                for pi in perms_up_to(nmax)
+                if len(pi) >= 2 and is_simple(pi) and c.member(pi)
+            )
+            assert simples_in_class(c, nmax) == expected, nmax
+
+    @pytest.mark.parametrize("basis", SWEEP_BASES)
+    def test_minimal_nonmembers(self, basis):
+        c = PermClass(basis)
+        for nmax in (0, 1, 6):
+            expected = _minimal_nonmembers_by_sweep(c.member, nmax)
+            assert minimal_nonmembers(c.member, nmax) == expected, nmax
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_union_basis(self, seed):
+        # basis lengths up to 3 keep the exact search bound at length 6
+        pool = EDGE_BASES[:3] + _seeded_bases(4200 + seed, 2, 3)
+        rng = random.Random(seed)
+        c, d = PermClass(rng.choice(pool)), PermClass(rng.choice(pool))
+        bound = c.max_basis_length() + d.max_basis_length()
+        expected = _minimal_nonmembers_by_sweep(
+            lambda pi: c.member(pi) or d.member(pi), bound
+        )
+        assert union_basis(c, d).basis == expected
+
+    @pytest.mark.parametrize("basis", SWEEP_BASES)
+    def test_plus_one_basis(self, basis):
+        c = PermClass(basis)
+        r = plus_one_basis(c, cap=5)
+        expected = _minimal_nonmembers_by_sweep(
+            lambda pi: plus_one_member(pi, c), r.searched_to
+        )
+        assert r.basis_class.basis == expected

@@ -2,6 +2,7 @@
 (0 true/success, 1 false, 2 usage, 3 size guard), plain and JSON output."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -302,6 +303,11 @@ class TestExitCodesAndGuards:
         assert "warning: size guards raised to 12" in err
         assert out.splitlines()[-1] == "5,1"
 
+    def test_negative_length_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "enumerate", "-3", "--class", AV12_JSON)
+        assert code == 2 and out == ""
+        assert "negative" in err
+
     def test_unknown_verb(self, capsys):
         code, _, err = run(capsys, "frobnicate", "1")
         assert code == 2
@@ -319,12 +325,15 @@ class TestExitCodesAndGuards:
 class TestConsoleScript:
     def test_installed_entry_point(self):
         exe = shutil.which("permpat")
+        env = None
         if exe is None:
             cmd = [sys.executable, "-m", "permpat.cli"]
+            # run the package this test imported, wherever pytest found it
+            env = {**os.environ, "PYTHONPATH": str(Path(cl.__file__).parents[1])}
         else:
             cmd = [exe]
         proc = subprocess.run(
-            cmd + ["contains", "132", "2413"], capture_output=True, text=True
+            cmd + ["contains", "132", "2413"], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1 2 4"

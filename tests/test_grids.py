@@ -120,6 +120,10 @@ class TestMonotoneGridding:
         got = [len(enumerate_grid(X_MATRIX, n, "monotone")) for n in range(1, 7)]
         assert got == [1, 2, 6, 22, 86, 340]
 
+    def test_negative_length_refused(self):
+        with pytest.raises(ValueError, match="negative"):
+            enumerate_grid(X_MATRIX, -2, "monotone")
+
     def test_class_is_av_2143_3412(self):
         c = avoiding((2, 1, 4, 3), (3, 4, 1, 2))
         for n in range(1, 6):
