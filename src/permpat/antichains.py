@@ -22,14 +22,11 @@ extended parametrically; every extension is certified (or refuted) by
 """
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .invgraph import inversion_graph, is_path
 from .labels import FILLED, HOLLOW, LabeledPermutation, find_good_pair
 from .perm import Perm, all_perms, inverse, is_sum_indecomposable, reduce_sequence
-
-FAMILY_IDS = ("amr-oscillation", "amr-tarjan", "widdershins", "labeled-path")
-
 
 # ---------------------------------------------------------------------------
 # oscillations
@@ -188,19 +185,32 @@ def labeled_antichain_member(k: int) -> LabeledPermutation:
     return LabeledPermutation(pi, labels)
 
 
+class _Family(NamedTuple):
+    member: Callable  # k -> the member (a LabeledPermutation for labeled-path)
+    length: Callable  # k -> the member's length
+
+
+_FAMILIES = {
+    "amr-oscillation": _Family(amr_oscillation_member, lambda k: 2 * k + 4),
+    "amr-tarjan": _Family(amr_tarjan_member, lambda k: 2 * k + 2),
+    "widdershins": _Family(widdershins_member, lambda k: 4 * k),
+    "labeled-path": _Family(labeled_antichain_member, lambda k: k + 1),
+}
+
+FAMILY_IDS = tuple(_FAMILIES)
+
+
+def _family(family: str) -> _Family:
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_IDS}")
+    return _FAMILIES[family]
+
+
 def member_length(family: str, k: int) -> int:
     """Length of member ``k`` of the family."""
     if k < 1:
         raise ValueError("index must be at least 1")
-    if family == "amr-oscillation":
-        return 2 * k + 4
-    if family == "amr-tarjan":
-        return 2 * k + 2
-    if family == "widdershins":
-        return 4 * k
-    if family == "labeled-path":
-        return k + 1
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_IDS}")
+    return _family(family).length(k)
 
 
 def index_for_length(family: str, n: int) -> int:
@@ -221,15 +231,8 @@ def antichain_member(family: str, k: int) -> Perm:
     >>> antichain_member("amr-tarjan", 1)
     (2, 3, 4, 1)
     """
-    if family == "amr-oscillation":
-        return amr_oscillation_member(k)
-    if family == "amr-tarjan":
-        return amr_tarjan_member(k)
-    if family == "widdershins":
-        return widdershins_member(k)
-    if family == "labeled-path":
-        return labeled_antichain_member(k).perm
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_IDS}")
+    member = _family(family).member(k)
+    return member.perm if isinstance(member, LabeledPermutation) else member
 
 
 # ---------------------------------------------------------------------------

@@ -223,7 +223,53 @@ def plus_one_basis(
     return PlusOneBasisResult(PermClass(found), searched_to, exact)
 
 
-CLOSURE_KINDS = ("sum", "skew", "substitution", "separable")
+def _component_closure(pi: Perm, c: PermClass, direction: str) -> bool:
+    return all(c.member(comp) for comp in components(pi, direction))
+
+
+def _substitution_closure(pi: Perm, c: PermClass) -> bool:
+    if not c.member((1,)):
+        return False
+    if contains((1, 2), pi) and not c.member((1, 2)):
+        return False
+    if contains((2, 1), pi) and not c.member((2, 1)):
+        return False
+    for k in range(4, len(pi) + 1):
+        for pattern in patterns_of_length(pi, k):
+            if is_simple(pattern) and not c.member(pattern):
+                return False
+    return True
+
+
+def _separable_closure(pi: Perm, c: PermClass) -> bool:
+    memo = {}
+
+    def sep(p: Perm) -> bool:
+        if p in memo:
+            return memo[p]
+        if c.member(p):
+            result = True
+        else:
+            comps = components(p)
+            if len(comps) > 1 and all(sep(q) for q in comps):
+                result = True
+            else:
+                skews = components(p, "skew")
+                result = len(skews) > 1 and all(sep(q) for q in skews)
+        memo[p] = result
+        return result
+
+    return sep(pi)
+
+
+_CLOSURES = {
+    "sum": lambda pi, c: _component_closure(pi, c, "direct"),
+    "skew": lambda pi, c: _component_closure(pi, c, "skew"),
+    "substitution": _substitution_closure,
+    "separable": _separable_closure,
+}
+
+CLOSURE_KINDS = tuple(_CLOSURES)
 
 
 def closure_member(pi: Perm, c: PermClass, kind: str) -> bool:
@@ -236,6 +282,8 @@ def closure_member(pi: Perm, c: PermClass, kind: str) -> bool:
     * ``separable``: π is in C, or π splits as a direct or skew sum with
       both parts in the separable closure.
 
+    The empty permutation is in a closure of C exactly when it is in C.
+
     >>> closure_member((2, 4, 1, 3), avoiding((2, 4, 1, 3), (3, 1, 4, 2)), "substitution")
     False
     >>> closure_member((2, 1, 4, 3, 6, 5), avoiding((1, 2), (3, 2, 1)), "sum")
@@ -243,46 +291,13 @@ def closure_member(pi: Perm, c: PermClass, kind: str) -> bool:
     >>> closure_member((2, 1, 4, 3, 6, 5), avoiding((2, 1)), "sum")
     False
     """
-    if kind == "sum":
-        return all(c.member(comp) for comp in components(pi)) if pi else c.member(pi)
-    if kind == "skew":
-        return all(c.member(comp) for comp in components(pi, "skew")) if pi else c.member(pi)
-    if kind == "substitution":
-        if len(pi) == 0:
-            return c.member(pi)
-        if not c.member((1,)):
-            return False
-        if contains((1, 2), pi) and not c.member((1, 2)):
-            return False
-        if contains((2, 1), pi) and not c.member((2, 1)):
-            return False
-        for k in range(4, len(pi) + 1):
-            for pattern in patterns_of_length(pi, k):
-                if is_simple(pattern) and not c.member(pattern):
-                    return False
-        return True
-    if kind == "separable":
-        memo = {}
+    if kind not in _CLOSURES:
+        raise ValueError(f"unknown closure kind {kind!r}; expected one of {CLOSURE_KINDS}")
+    return _CLOSURES[kind](pi, c) if pi else c.member(pi)
 
-        def sep(p: Perm) -> bool:
-            if p in memo:
-                return memo[p]
-            if c.member(p):
-                result = True
-            elif len(p) == 0:
-                result = False
-            else:
-                comps = components(p)
-                if len(comps) > 1 and all(sep(q) for q in comps):
-                    result = True
-                else:
-                    skews = components(p, "skew")
-                    result = len(skews) > 1 and all(sep(q) for q in skews)
-            memo[p] = result
-            return result
 
-        return sep(pi)
-    raise ValueError(f"unknown closure kind {kind!r}; expected one of {CLOSURE_KINDS}")
+#: The skeleton of each kind of tree node other than ``simple``.
+_SKELETONS = {"leaf": (1,), "plus": (1, 2), "minus": (2, 1)}
 
 
 def closure_member_tree(pi: Perm, c: PermClass) -> bool:
@@ -295,17 +310,8 @@ def closure_member_tree(pi: Perm, c: PermClass) -> bool:
         return c.member(pi)
 
     def walk(node) -> bool:
-        if node.kind == "leaf":
-            return c.member((1,))
-        if node.kind == "plus":
-            skeleton = (1, 2)
-        elif node.kind == "minus":
-            skeleton = (2, 1)
-        else:
-            skeleton = node.skeleton
-        if not c.member(skeleton):
-            return False
-        return all(walk(child) for child in node.children)
+        skeleton = _SKELETONS.get(node.kind, node.skeleton)
+        return c.member(skeleton) and all(walk(child) for child in node.children)
 
     return walk(decompose_tree(pi))
 

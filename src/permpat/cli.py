@@ -274,10 +274,7 @@ def _do_cellgraph(args) -> Outcome:
 
 
 def _do_antichain(args) -> Outcome:
-    if args.family == "labeled-path":
-        member = ac.labeled_antichain_member(args.k)
-    else:
-        member = ac.antichain_member(args.family, args.k)
+    member = ac._family(args.family).member(args.k)
     out = {"family": args.family, "k": args.k}
     if isinstance(member, lb.LabeledPermutation):
         line = _format_labeled(member)
@@ -334,26 +331,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Permutation patterns: containment, graphs, classes, "
         "grids, antichains.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="print one JSON object")
-    common.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    common.add_argument(
-        "--max-n",
-        type=int,
-        default=None,
-        dest="max_n",
-        help="raise a size guard (prints a warning)",
-    )
-    common.add_argument("--matrix", help="matrix JSON file")
-    common.add_argument("--class", dest="class_file", help="class JSON file")
-    common.add_argument("--poset", help="label poset JSON file")
-    common.add_argument("--dot", help="write DOT output to this file")
+    flags = {
+        "--seed": dict(type=int, default=0, help="sampling seed (default 0)"),
+        "--max-n": dict(type=int, default=None, dest="max_n", help="raise a size guard (prints a warning)"),
+        "--matrix": dict(help="matrix JSON file"),
+        "--class": dict(dest="class_file", help="class JSON file"),
+        "--poset": dict(help="label poset JSON file"),
+        "--dot": dict(help="write DOT output to this file"),
+    }
 
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
 
-    def verb(name, handler, help_text):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(handler=handler)
+    def verb(name, handler, help_text, *names):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--json", action="store_true", help="print one JSON object")
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(handler=handler, max_n=None)
         return p
 
     p = verb("contains", _do_contains, "containment witness, exit 0/1")
@@ -380,49 +374,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("skeleton")
     p.add_argument("blocks", nargs="+")
 
-    p = verb("invgraph", _do_invgraph, "inversion graph as DOT")
+    p = verb("invgraph", _do_invgraph, "inversion graph as DOT", "--dot")
     p.add_argument("perm")
 
-    p = verb("member", _do_member, "class membership, exit 0/1 (needs --class)")
+    p = verb("member", _do_member, "class membership, exit 0/1 (needs --class)", "--class")
     p.add_argument("perm")
 
-    p = verb("enumerate", _do_enumerate, "CSV counts by length (needs --class)")
+    p = verb("enumerate", _do_enumerate, "CSV counts by length (needs --class)", "--class", "--max-n")
     p.add_argument("n", type=int)
     p.add_argument("--members", action="store_true", help="also list members")
 
-    p = verb("basis", _do_basis, "minimal nonmembers of a named oracle")
+    p = verb("basis", _do_basis, "minimal nonmembers of a named oracle", "--max-n")
     p.add_argument("oracle", help=ORACLE_HELP)
     p.add_argument("n", type=int)
 
-    p = verb("plus-one-basis", _do_plus_one_basis, "basis of the one-point extension (needs --class)")
+    p = verb("plus-one-basis", _do_plus_one_basis, "basis of the one-point extension (needs --class)",
+             "--class", "--max-n")
     p.add_argument("--cap", type=int, default=None, help="stop the search at this length")
 
-    p = verb("closure-member", _do_closure_member, "closure membership, exit 0/1 (needs --class)")
+    p = verb("closure-member", _do_closure_member, "closure membership, exit 0/1 (needs --class)",
+             "--class")
     p.add_argument("kind", choices=cl.CLOSURE_KINDS)
     p.add_argument("perm")
 
-    p = verb("grid-member", _do_grid_member, "monotone gridding, exit 0/1 (needs --matrix)")
+    p = verb("grid-member", _do_grid_member, "monotone gridding, exit 0/1 (needs --matrix)",
+             "--matrix", "--max-n")
     p.add_argument("perm")
 
-    p = verb("geom-member", _do_geom_member, "geometric membership with drawing, exit 0/1 (needs --matrix)")
+    p = verb("geom-member", _do_geom_member, "geometric membership with drawing, exit 0/1 (needs --matrix)",
+             "--matrix", "--max-n")
     p.add_argument("perm")
 
-    p = verb("grid-enum", _do_grid_enum, "CSV counts for a grid class (needs --matrix)")
+    p = verb("grid-enum", _do_grid_enum, "CSV counts for a grid class (needs --matrix)",
+             "--matrix", "--max-n")
     p.add_argument("n", type=int)
     p.add_argument("--kind", choices=gr.GRID_KINDS, default="monotone")
     p.add_argument("--members", action="store_true", help="also list members")
 
-    p = verb("cellgraph", _do_cellgraph, "cell graph of a matrix as DOT (needs --matrix)")
+    p = verb("cellgraph", _do_cellgraph, "cell graph of a matrix as DOT (needs --matrix)",
+             "--matrix", "--dot")
 
-    p = verb("antichain", _do_antichain, "a member of an antichain family")
+    p = verb("antichain", _do_antichain, "a member of an antichain family", "--dot")
     p.add_argument("family", choices=ac.FAMILY_IDS)
     p.add_argument("k", type=int)
 
-    p = verb("labeled-contains", _do_labeled_contains, "labeled containment, exit 0/1")
+    p = verb("labeled-contains", _do_labeled_contains, "labeled containment, exit 0/1", "--poset")
     p.add_argument("pattern", help="perm:labels (e.g. 21:*,*) or JSON")
     p.add_argument("text", help="perm:labels or JSON")
 
-    p = verb("paper-suite", _do_paper_suite, "run the full property battery")
+    p = verb("paper-suite", _do_paper_suite, "run the full property battery", "--seed")
     p.add_argument("--only", default=None, help="run only checks whose id contains this")
 
     return parser

@@ -10,19 +10,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Optional
 
 from .guards import check_size
-from .labels import FinitePoset
-from .perm import (
-    Perm,
-    all_perms,
-    inverse,
-    is_sum_indecomposable,
-    rc_inverse,
-    reverse_complement,
-)
+from .labels import FinitePoset, _label_from_json
+from .perm import SYMMETRY_NAMES, Perm, _move_points, all_perms
 
 
 @dataclass(frozen=True)
@@ -118,6 +112,44 @@ def inversion_graph(pi: Perm, labels=None) -> Graph:
 # embedding, isomorphism, automorphisms
 
 
+def _backtrack(a: Graph, b: Graph, adeg: list, fits: Callable, found: Callable) -> None:
+    """Map the vertices of ``a`` one at a time, in decreasing order of their
+    degrees ``adeg``, to distinct vertices of ``b`` so that edges and
+    non-edges among the mapped vertices are kept.  A pair ``(av, bv)`` is
+    tried only when ``fits(av, bv)`` holds; each complete map (1-based
+    tuple: image of each a-vertex) is passed to ``found``, and the search
+    stops once that returns true."""
+    order = sorted(range(1, a.n + 1), key=adeg.__getitem__, reverse=True)
+    mapping = {}
+    used = set()
+
+    def extend(idx: int) -> bool:
+        if idx == len(order):
+            return found(tuple(mapping[v] for v in range(1, a.n + 1)))
+        av = order[idx]
+        for bv in range(1, b.n + 1):
+            if bv in used or not fits(av, bv):
+                continue
+            if all(
+                a.has_edge(av, prev_a) == b.has_edge(bv, prev_b)
+                for prev_a, prev_b in mapping.items()
+            ):
+                mapping[av] = bv
+                used.add(bv)
+                if extend(idx + 1):
+                    return True
+                del mapping[av]
+                used.remove(bv)
+        return False
+
+    extend(0)
+
+
+def _degrees(g: Graph) -> list:
+    """Degree of each vertex, indexed by vertex (entry 0 unused)."""
+    return [0] + [g.degree(v) for v in range(1, g.n + 1)]
+
+
 def induced_embeds(
     h: Graph, g: Graph, poset: Optional[FinitePoset] = None
 ) -> Optional[tuple]:
@@ -130,85 +162,44 @@ def induced_embeds(
     """
     if h.n > g.n:
         return None
+    hdeg, gdeg = _degrees(h), _degrees(g)
     use_labels = h.labels is not None and g.labels is not None
+    leq = operator.eq if poset is None else poset.leq
 
-    def label_ok(hv: int, gv: int) -> bool:
-        if not use_labels:
-            return True
-        if poset is None:
-            return h.label(hv) == g.label(gv)
-        return poset.leq(h.label(hv), g.label(gv))
+    def fits(hv: int, gv: int) -> bool:
+        return gdeg[gv] >= hdeg[hv] and (
+            not use_labels or leq(h.labels[hv - 1], g.labels[gv - 1])
+        )
 
-    hdeg = {v: h.degree(v) for v in range(1, h.n + 1)}
-    gdeg = {v: g.degree(v) for v in range(1, g.n + 1)}
-    # order h-vertices by decreasing degree for earlier pruning
-    order = sorted(range(1, h.n + 1), key=lambda v: -hdeg[v])
-    mapping = {}
-    used = set()
-
-    def backtrack(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        hv = order[idx]
-        for gv in range(1, g.n + 1):
-            if gv in used or gdeg[gv] < hdeg[hv] or not label_ok(hv, gv):
-                continue
-            if all(
-                h.has_edge(hv, prev_h) == g.has_edge(gv, prev_g)
-                for prev_h, prev_g in mapping.items()
-            ):
-                mapping[hv] = gv
-                used.add(gv)
-                if backtrack(idx + 1):
-                    return True
-                del mapping[hv]
-                used.remove(gv)
-        return False
-
-    if backtrack(0):
-        return tuple(mapping[v] for v in range(1, h.n + 1))
-    return None
+    maps = []
+    _backtrack(h, g, hdeg, fits, lambda m: maps.append(m) or True)
+    return maps[0] if maps else None
 
 
-def _iso_maps(g: Graph, h: Graph, labels_identity: bool) -> Iterator[tuple]:
-    """All isomorphisms g -> h as tuples (image of each g-vertex)."""
+def _isomorphisms(g: Graph, h: Graph, first: bool) -> list:
+    """The isomorphisms g -> h (labels by identity when both present), or
+    only the first one found when ``first`` is set."""
     if g.n != h.n or len(g.edges) != len(h.edges):
-        return
-    if g.degree_sequence() != h.degree_sequence():
-        return
-    gdeg = {v: g.degree(v) for v in range(1, g.n + 1)}
-    hdeg = {v: h.degree(v) for v in range(1, h.n + 1)}
-    order = sorted(range(1, g.n + 1), key=lambda v: -gdeg[v])
-    mapping = {}
-    used = set()
+        return []
+    gdeg, hdeg = _degrees(g), _degrees(h)
+    if sorted(gdeg) != sorted(hdeg):  # degree sequences
+        return []
+    use_labels = g.labels is not None and h.labels is not None
 
-    def backtrack(idx: int) -> Iterator[tuple]:
-        if idx == len(order):
-            yield tuple(mapping[v] for v in range(1, g.n + 1))
-            return
-        gv = order[idx]
-        for hv in range(1, h.n + 1):
-            if hv in used or hdeg[hv] != gdeg[gv]:
-                continue
-            if labels_identity and g.labels is not None and h.labels is not None:
-                if g.label(gv) != h.label(hv):
-                    continue
-            if all(
-                g.has_edge(gv, prev_g) == h.has_edge(hv, prev_h)
-                for prev_g, prev_h in mapping.items()
-            ):
-                mapping[gv] = hv
-                used.add(hv)
-                yield from backtrack(idx + 1)
-                del mapping[gv]
-                used.remove(hv)
+    def fits(gv: int, hv: int) -> bool:
+        return hdeg[hv] == gdeg[gv] and (
+            not use_labels or g.labels[gv - 1] == h.labels[hv - 1]
+        )
 
-    yield from backtrack(0)
+    maps = []
+    _backtrack(g, h, gdeg, fits, lambda m: maps.append(m) or first)
+    return maps
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Optional[tuple]:
     """One isomorphism (labels compared by identity when both present)."""
-    return next(_iso_maps(g, h, labels_identity=True), None)
+    maps = _isomorphisms(g, h, first=True)
+    return maps[0] if maps else None
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -219,7 +210,7 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 def all_isomorphisms(g: Graph, h: Graph) -> list:
     """Every isomorphism g -> h (labels by identity when both present)."""
-    return list(_iso_maps(g, h, labels_identity=True))
+    return _isomorphisms(g, h, first=False)
 
 
 def automorphisms(g: Graph, max_n: Optional[int] = None) -> list:
@@ -398,14 +389,11 @@ def symmetry_automorphism_maps(sigma: Perm) -> dict:
     fix ``sigma``: position ``i`` maps to ``sigma(i)`` when the 'inverse'
     symmetry fixes sigma, to ``n+1-i`` for 'reverse-complement', and to
     ``n+1-sigma(i)`` for 'rc-inverse'.  Always includes the identity."""
-    n = len(sigma)
-    out = {"identity": tuple(range(1, n + 1))}
-    if inverse(sigma) == sigma:
-        out["inverse"] = tuple(sigma[i] for i in range(n))
-    if reverse_complement(sigma) == sigma:
-        out["reverse-complement"] = tuple(n - i for i in range(n))
-    if rc_inverse(sigma) == sigma:
-        out["rc-inverse"] = tuple(n + 1 - sigma[i] for i in range(n))
+    out = {"identity": tuple(range(1, len(sigma) + 1))}
+    for name in SYMMETRY_NAMES:
+        image, positions = _move_points(sigma, name)
+        if image == sigma:
+            out[name] = positions
     return out
 
 
@@ -447,5 +435,5 @@ def graph_from_json(data) -> Graph:
         for u, neigh in enumerate(data["adjacency"], start=1)
         for v in neigh
     }
-    labels = tuple(data["labels"]) if "labels" in data else None
+    labels = _label_from_json(data["labels"]) if "labels" in data else None
     return Graph(n, frozenset(edges), labels)

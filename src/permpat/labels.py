@@ -10,16 +10,11 @@ always means element identity.
 from __future__ import annotations
 
 import json
+from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .perm import (
-    Perm,
-    apply_symmetry,
-    delete_entry,
-    format_perm,
-    reduce_sequence,
-)
+from .perm import Perm, _move_points, _witness, delete_entry, format_perm, reduce_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +139,21 @@ def product_leq(a: Sequence, b: Sequence, posets: Sequence[FinitePoset]) -> bool
     return all(p.leq(x, y) for x, y, p in zip(a, b, posets))
 
 
+def _label_from_json(value):
+    """A decoded JSON value as a label: arrays become tuples, recursively,
+    since labels and poset elements are compared and looked up by hash."""
+    if isinstance(value, list):
+        return tuple(_label_from_json(v) for v in value)
+    if not isinstance(value, Hashable):
+        raise ValueError(f"label {value!r} is not hashable")
+    return value
+
+
 def poset_from_json(data) -> FinitePoset:
     """Build a poset from ``{"elements": [...], "leq": [[a, b], ...]}``."""
     if isinstance(data, str):
         data = json.loads(data)
-    return FinitePoset(data["elements"], [tuple(p) for p in data.get("leq", [])])
+    return FinitePoset(_label_from_json(data["elements"]), _label_from_json(data.get("leq", [])))
 
 
 def poset_to_json(poset: FinitePoset) -> dict:
@@ -192,7 +197,7 @@ def labeled_from_json(data) -> LabeledPermutation:
     """Build from ``{"perm": [...], "labels": [...]}``."""
     if isinstance(data, str):
         data = json.loads(data)
-    return LabeledPermutation(tuple(data["perm"]), tuple(data["labels"]))
+    return LabeledPermutation(tuple(data["perm"]), _label_from_json(data["labels"]))
 
 
 def labeled_to_json(p: LabeledPermutation) -> dict:
@@ -213,43 +218,14 @@ def labeled_containment_witness(
     componentwise in ``poset`` (pattern label <= text label at each matched
     index).
     """
-    for lab in s.labels + p.labels:
-        if lab not in poset:
-            raise ValueError(f"label {lab!r} is not an element of the poset")
-    sigma, pi = s.perm, p.perm
-    k, n = len(sigma), len(pi)
-    if k == 0:
-        return ()
-    if k > n:
-        return None
-    lower = [-1] * k
-    upper = [-1] * k
-    for j in range(k):
-        lo_val, hi_val = 0, k + 1
-        for i in range(j):
-            if lo_val < sigma[i] < sigma[j]:
-                lo_val, lower[j] = sigma[i], i
-            if sigma[j] < sigma[i] < hi_val:
-                hi_val, upper[j] = sigma[i], i
-    chosen = [0] * k
-    leq = poset.leq
-
-    def dfs(j: int, start: int) -> bool:
-        if j == k:
-            return True
-        lo = pi[chosen[lower[j]]] if lower[j] >= 0 else 0
-        hi = pi[chosen[upper[j]]] if upper[j] >= 0 else n + 1
-        want = s.labels[j]
-        for pos in range(start, n - (k - j) + 1):
-            if lo < pi[pos] < hi and leq(want, p.labels[pos]):
-                chosen[j] = pos
-                if dfs(j + 1, pos + 1):
-                    return True
-        return False
-
-    if dfs(0, 0):
-        return tuple(pos + 1 for pos in chosen)
-    return None
+    # the order relation's row per pattern slot, element index per text position
+    index = poset._index
+    try:
+        rows = [poset._leq[index[lab]] for lab in s.labels]
+        cols = [index[lab] for lab in p.labels]
+    except KeyError as exc:
+        raise ValueError(f"label {exc.args[0]!r} is not an element of the poset") from None
+    return _witness(s.perm, p.perm, lambda j, pos: rows[j][cols[pos]])
 
 
 def labeled_contains(
@@ -266,19 +242,11 @@ def apply_symmetry_labeled(p: LabeledPermutation, name: str) -> LabeledPermutati
     >>> apply_symmetry_labeled(LabeledPermutation((2, 1, 3), ("a", "b", "c")), "inverse").labels
     ('b', 'a', 'c')
     """
-    pi = p.perm
-    n = len(pi)
-    new_perm = apply_symmetry(pi, name)
-    new_labels = [None] * n
-    for i in range(1, n + 1):
-        if name == "inverse":
-            j = pi[i - 1]
-        elif name == "reverse-complement":
-            j = n + 1 - i
-        else:  # rc-inverse (apply_symmetry has already validated the name)
-            j = n + 1 - pi[i - 1]
-        new_labels[j - 1] = p.labels[i - 1]
-    return LabeledPermutation(new_perm, tuple(new_labels))
+    image, positions = _move_points(p.perm, name)
+    labels = [None] * len(image)
+    for j, lab in zip(positions, p.labels):
+        labels[j - 1] = lab
+    return LabeledPermutation(image, tuple(labels))
 
 
 # ---------------------------------------------------------------------------

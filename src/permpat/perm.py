@@ -9,10 +9,11 @@ permutation serializes as the empty string.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 Perm = tuple  # a permutation in one-line notation: tuple of ints 1..n
 
@@ -118,6 +119,12 @@ def containment_witness(sigma: Perm, pi: Perm) -> Optional[tuple]:
     >>> containment_witness((5, 4, 3, 2, 1), (4, 3, 2, 6, 7, 9, 1, 8, 5)) is None
     True
     """
+    return _witness(sigma, pi)
+
+
+def _witness(sigma: Perm, pi: Perm, fits: Optional[Callable] = None) -> Optional[tuple]:
+    """:func:`containment_witness`, where pattern slot ``j`` may also take
+    0-based position ``pos`` of ``pi`` only if ``fits(j, pos)`` holds."""
     k, n = len(sigma), len(pi)
     if k == 0:
         return ()
@@ -133,7 +140,7 @@ def containment_witness(sigma: Perm, pi: Perm) -> Optional[tuple]:
         hi = pi[chosen[upper[j]]] if upper[j] >= 0 else n + 1
         for pos in range(start, n - (k - j) + 1):
             v = pi[pos]
-            if lo < v < hi:
+            if lo < v < hi and (fits is None or fits(j, pos)):
                 chosen[j] = pos
                 if dfs(j + 1, pos + 1):
                     return True
@@ -185,7 +192,32 @@ def all_patterns(pi: Perm) -> set:
 # ---------------------------------------------------------------------------
 # symmetries
 
-SYMMETRY_NAMES = ("inverse", "reverse-complement", "rc-inverse")
+#: Where each graph-preserving symmetry moves the point ``(i, v)`` of a
+#: permutation of length ``n``: the inverse transposes the plot, the
+#: reverse-complement turns it by 180 degrees, and rc-inverse does both.
+_POINT_MAPS = {
+    "inverse": lambda n, i, v: (v, i),
+    "reverse-complement": lambda n, i, v: (n + 1 - i, n + 1 - v),
+    "rc-inverse": lambda n, i, v: (n + 1 - v, n + 1 - i),
+}
+
+SYMMETRY_NAMES = tuple(_POINT_MAPS)
+
+
+def _move_points(pi: Perm, which: str) -> tuple:
+    """The image of ``pi`` under the named symmetry, and the 1-based
+    position that each entry of ``pi`` moves to, in position order."""
+    if which not in _POINT_MAPS:
+        raise ValueError(f"unknown symmetry {which!r}; choose from {SYMMETRY_NAMES}")
+    move = _POINT_MAPS[which]
+    n = len(pi)
+    image = [0] * n
+    positions = []
+    for i, v in enumerate(pi, 1):
+        j, w = move(n, i, v)
+        image[j - 1] = w
+        positions.append(j)
+    return tuple(image), tuple(positions)
 
 
 def inverse(pi: Perm) -> Perm:
@@ -194,10 +226,7 @@ def inverse(pi: Perm) -> Perm:
     >>> inverse((2, 3, 1, 4))
     (3, 1, 2, 4)
     """
-    out = [0] * len(pi)
-    for i, v in enumerate(pi):
-        out[v - 1] = i + 1
-    return tuple(out)
+    return apply_symmetry(pi, "inverse")
 
 
 def reverse_complement(pi: Perm) -> Perm:
@@ -206,25 +235,18 @@ def reverse_complement(pi: Perm) -> Perm:
     >>> reverse_complement((2, 3, 1, 4))
     (1, 4, 2, 3)
     """
-    n = len(pi)
-    return tuple(n + 1 - v for v in reversed(pi))
+    return apply_symmetry(pi, "reverse-complement")
 
 
 def rc_inverse(pi: Perm) -> Perm:
     """The inverse of the reverse-complement."""
-    return inverse(reverse_complement(pi))
+    return apply_symmetry(pi, "rc-inverse")
 
 
 def apply_symmetry(pi: Perm, which: str) -> Perm:
     """Apply one of the graph-preserving symmetries by name
     (``inverse``, ``reverse-complement``, ``rc-inverse``)."""
-    if which == "inverse":
-        return inverse(pi)
-    if which == "reverse-complement":
-        return reverse_complement(pi)
-    if which == "rc-inverse":
-        return rc_inverse(pi)
-    raise ValueError(f"unknown symmetry {which!r}; choose from {SYMMETRY_NAMES}")
+    return _move_points(pi, which)[0]
 
 
 def symmetry_class(pi: Perm) -> set:
@@ -234,9 +256,6 @@ def symmetry_class(pi: Perm) -> set:
 
 # ---------------------------------------------------------------------------
 # sums and components
-
-SUM_DIRECTIONS = ("direct", "skew")
-
 
 def direct_sum(sigma: Perm, tau: Perm) -> Perm:
     """``sigma`` followed by ``tau`` shifted above it.
@@ -258,13 +277,16 @@ def skew_sum(sigma: Perm, tau: Perm) -> Perm:
     return tuple(v + m for v in sigma) + tau
 
 
+_SUMS = {"direct": direct_sum, "skew": skew_sum}
+
+SUM_DIRECTIONS = tuple(_SUMS)
+
+
 def sum_perms(sigma: Perm, tau: Perm, direction: str) -> Perm:
     """Direct or skew sum by name."""
-    if direction == "direct":
-        return direct_sum(sigma, tau)
-    if direction == "skew":
-        return skew_sum(sigma, tau)
-    raise ValueError(f"unknown direction {direction!r}; choose from {SUM_DIRECTIONS}")
+    if direction not in _SUMS:
+        raise ValueError(f"unknown direction {direction!r}; choose from {SUM_DIRECTIONS}")
+    return _SUMS[direction](sigma, tau)
 
 
 def components(pi: Perm, direction: str = "direct") -> list:
@@ -284,13 +306,8 @@ def components(pi: Perm, direction: str = "direct") -> list:
     start = 0
     extreme = 0
     for i, v in enumerate(pi):
-        if direction == "direct":
-            extreme = max(extreme, v)
-            cut = extreme == i + 1
-        else:
-            extreme = max(extreme, n + 1 - v)
-            cut = extreme == i + 1
-        if cut:
+        extreme = max(extreme, v if direction == "direct" else n + 1 - v)
+        if extreme == i + 1:
             out.append(reduce_sequence(pi[start : i + 1]))
             start = i + 1
     return out
@@ -423,17 +440,9 @@ class SubstitutionTree:
         if self.kind == "leaf":
             return (1,)
         blocks = [child.evaluate() for child in self.children]
-        if self.kind == "plus":
-            out: Perm = ()
-            for b in blocks:
-                out = direct_sum(out, b)
-            return out
-        if self.kind == "minus":
-            out = ()
-            for b in blocks:
-                out = skew_sum(out, b)
-            return out
-        return inflate(self.skeleton, blocks)
+        if self.kind == "simple":
+            return inflate(self.skeleton, blocks)
+        return functools.reduce(direct_sum if self.kind == "plus" else skew_sum, blocks, ())
 
     def leaf_count(self) -> int:
         if self.kind == "leaf":

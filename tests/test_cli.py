@@ -250,6 +250,15 @@ class TestLabeledContains:
         assert out.strip() == "1 3"
 
 
+    def test_array_label_is_a_usage_error(self, capsys):
+        # a JSON array label becomes a tuple; it is not in the default poset
+        code, out, err = run(capsys, "labeled-contains", '{"perm":[1],"labels":[["o"]]}', "21:o,o")
+        assert code == 2 and out == ""
+        assert "not an element of the poset" in err
+        code, _, err = run(capsys, "labeled-contains", '{"perm":[1],"labels":[{"o":1}]}', "21:o,o")
+        assert code == 2 and "not hashable" in err
+
+
 class TestSuiteVerb:
     def test_single_passing_check(self, capsys):
         code, out, _ = run(capsys, "paper-suite", "--only", "grids.stankova")
@@ -307,6 +316,19 @@ class TestExitCodesAndGuards:
         code, out, err = run(capsys, "enumerate", "-3", "--class", AV12_JSON)
         assert code == 2 and out == ""
         assert "negative" in err
+
+    def test_verbs_refuse_flags_they_do_not_read(self, capsys):
+        for argv in (
+            ("contains", "12", "123", "--class", AV12_JSON),
+            ("contains", "12", "123", "--seed", "3"),
+            ("member", "12", "--class", AV12_JSON, "--max-n", "11"),
+            ("closure-member", "sum", "21", "--class", AV12_JSON, "--matrix", X_JSON),
+            ("labeled-contains", "1:o", "1:o", "--dot", "x.dot"),
+            ("enumerate", "3", "--class", AV12_JSON, "--poset", CHAIN_POSET_JSON),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert "unrecognized arguments" in err, argv
 
     def test_unknown_verb(self, capsys):
         code, _, err = run(capsys, "frobnicate", "1")

@@ -1,10 +1,13 @@
 """Inversion graphs: construction, isomorphism search, structural
 predicates, primality, and permutation preimages."""
 import itertools
+import json
+import random
 
 import pytest
 
 from permpat import (
+    FinitePoset,
     Graph,
     SizeGuardError,
     all_isomorphisms,
@@ -89,6 +92,11 @@ class TestGraphBasics:
         g = inversion_graph((2, 5, 4, 1, 3))
         assert graph_from_json(graph_to_json(g)) == g
 
+    def test_json_text_round_trip_of_tuple_labels(self):
+        g = inversion_graph((2, 1), (("o", "o", "sw"), ("*", "o", "ne")))
+        h = graph_from_json(json.loads(json.dumps(graph_to_json(g))))
+        assert h == g
+
     def test_dot_is_deterministic(self):
         g = cycle_graph(4)
         assert to_dot(g) == to_dot(g)
@@ -129,6 +137,78 @@ class TestEmbeddingsAndIsomorphism:
         with pytest.raises(SizeGuardError):
             automorphisms(path_graph(11))
         assert automorphisms(path_graph(11), max_n=11)
+
+
+def brute_embeddings(h, g, leq):
+    """Every injective vertex map h -> g, as a tuple of images, that keeps
+    edges and non-edges and whose labels satisfy ``leq`` (when both graphs
+    carry labels), by a sweep over ``itertools.permutations``."""
+    pairs = [(u - 1, v - 1, h.has_edge(u, v)) for u, v in itertools.combinations(range(1, h.n + 1), 2)]
+    adj = [[g.has_edge(u, v) for v in range(g.n + 1)] for u in range(g.n + 1)]
+    use_labels = h.labels is not None and g.labels is not None
+    return [
+        f
+        for f in itertools.permutations(range(1, g.n + 1), h.n)
+        if all(adj[f[u]][f[v]] == edge for u, v, edge in pairs)
+        and (not use_labels or all(leq(h.label(v), g.label(f[v - 1])) for v in range(1, h.n + 1)))
+    ]
+
+
+SMALL_PERMS = [pi for n in range(6) for pi in all_perms(n)]
+LABEL_CHAIN = FinitePoset.chain(("lo", "hi"))
+
+
+def small_graphs(labeled):
+    """The inversion graph of every permutation of length <= 5, with
+    seeded labels from ``LABEL_CHAIN`` when ``labeled`` is set."""
+    rng = random.Random(5103)
+    if not labeled:
+        return [inversion_graph(pi) for pi in SMALL_PERMS]
+    return [
+        inversion_graph(pi, tuple(rng.choice(LABEL_CHAIN.elements) for _ in pi))
+        for pi in SMALL_PERMS
+    ]
+
+
+class TestSearchAgainstPermutations:
+    """Embedding and isomorphism share one backtracker; both must agree
+    with a sweep over every vertex map.  Embeddings run every inversion
+    graph on at most 4 vertices into every one on at most 5; isomorphisms
+    run over all pairs on at most 5 vertices."""
+
+    @pytest.mark.parametrize("labels", ["none", "identity", "poset"])
+    def test_induced_embeds(self, labels):
+        graphs = small_graphs(labels != "none")
+        poset = LABEL_CHAIN if labels == "poset" else None
+        leq = LABEL_CHAIN.leq if labels == "poset" else (lambda a, b: a == b)
+        found = 0
+        for h in graphs:
+            if h.n > 4:
+                continue
+            for g in graphs:
+                maps = brute_embeddings(h, g, leq)
+                w = induced_embeds(h, g, poset)
+                assert (w is None) == (not maps), (h, g)
+                assert w is None or w in maps, (h, g, w)
+                found += w is not None
+        assert found > 0
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_all_isomorphisms(self, labeled):
+        graphs = small_graphs(labeled)
+        for g in graphs:
+            for h in graphs:
+                if g.n != h.n:
+                    continue
+                got = all_isomorphisms(g, h)
+                if len(g.edges) != len(h.edges):
+                    assert got == [], (g, h)
+                    continue
+                expected = brute_embeddings(g, h, lambda a, b: a == b)
+                assert sorted(got) == expected, (g, h)
+                first = find_isomorphism(g, h)
+                assert (first is None) == (not expected), (g, h)
+                assert first is None or first in expected, (g, h, first)
 
 
 class TestStructuralPredicates:

@@ -1,5 +1,9 @@
 """Labeled permutations: posets, labeled containment, subword order, and the
 three label encodings (last-entry, zero-stripping, compass)."""
+import itertools
+import json
+import random
+
 import pytest
 
 from permpat import (
@@ -13,6 +17,7 @@ from permpat import (
     compass_encoding,
     compass_poset,
     constant_labels,
+    containment_witness,
     contains,
     labeled_antichain_member,
     labeled_containment_witness,
@@ -73,6 +78,16 @@ class TestFinitePoset:
             for y in p.elements:
                 assert p.leq(x, y) == q.leq(x, y)
 
+    def test_json_text_round_trip_of_tuple_elements(self):
+        p = compass_poset(TWO_ANTICHAIN)
+        q = poset_from_json(json.loads(json.dumps(poset_to_json(p))))
+        assert q.elements == p.elements
+        assert sorted(q.pairs()) == sorted(p.pairs())
+
+    def test_unhashable_json_element_rejected(self):
+        with pytest.raises(ValueError):
+            poset_from_json({"elements": [{"a": 1}], "leq": []})
+
 
 class TestLabeledContainment:
     def test_label_clash_blocks_containment(self):
@@ -114,6 +129,86 @@ class TestLabeledContainment:
     def test_json_round_trip(self):
         p = LabeledPermutation((3, 1, 2), (FILLED, HOLLOW, FILLED))
         assert labeled_from_json(labeled_to_json(p)) == p
+
+    def test_json_text_round_trip_of_compass_labels(self):
+        p = compass_encoding(LabeledPermutation((3, 1, 4, 2), (FILLED, HOLLOW, HOLLOW, FILLED)), 2)
+        q = labeled_from_json(json.loads(json.dumps(labeled_to_json(p))))
+        assert q == p
+        assert labeled_contains(q, p, compass_poset(TWO_ANTICHAIN))
+
+    def test_unhashable_json_label_rejected(self):
+        with pytest.raises(ValueError):
+            labeled_from_json('{"perm": [1], "labels": [{"a": 1}]}')
+
+
+def first_combination(sigma, pi, fits=lambda j, pos: True):
+    """Brute-force oracle: the first 1-based index tuple, in
+    ``itertools.combinations`` (that is, lexicographic) order, whose entries
+    of ``pi`` are order-isomorphic to ``sigma`` and pass ``fits`` slot by
+    slot; ``None`` when there is none."""
+    k = len(sigma)
+    for idx in itertools.combinations(range(len(pi)), k):
+        if all(
+            (pi[idx[a]] < pi[idx[b]]) == (sigma[a] < sigma[b])
+            for a in range(k)
+            for b in range(a + 1, k)
+        ) and all(fits(j, pos) for j, pos in enumerate(idx)):
+            return tuple(pos + 1 for pos in idx)
+    return None
+
+
+def random_cases(seed, count):
+    """Seeded ``(sigma, pi, carved)`` triples with |pi| <= 7.  Every other
+    pattern is carved out of the text at the 0-based positions ``carved``;
+    the rest are drawn at random (``carved`` is None), some longer than the
+    text, so present and absent cases both occur."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        n = rng.randint(0, 7)
+        pi = tuple(rng.sample(range(1, n + 1), n))
+        if i % 2:
+            carved = sorted(rng.sample(range(n), rng.randint(0, n)))
+            values = [pi[j] for j in carved]
+            sigma = tuple(sorted(values).index(v) + 1 for v in values)
+        else:
+            k = rng.randint(0, min(n + 1, 5))
+            sigma, carved = tuple(rng.sample(range(1, k + 1), k)), None
+        cases.append((sigma, pi, carved))
+    return cases
+
+
+POSETS = {
+    "two-antichain": TWO_ANTICHAIN,
+    "chain": FinitePoset.chain(("lo", "mid", "hi")),
+    "compass": compass_poset(TWO_ANTICHAIN),
+}
+
+
+class TestContainmentAgainstCombinations:
+    """The plain and the labeled witness share one search engine; both must
+    return the first matching index tuple of a brute-force sweep."""
+
+    def test_plain(self):
+        for sigma, pi, _ in random_cases(5101, 400):
+            assert containment_witness(sigma, pi) == first_combination(sigma, pi), (sigma, pi)
+
+    @pytest.mark.parametrize("name", sorted(POSETS))
+    def test_labeled(self, name):
+        poset = POSETS[name]
+        rng = random.Random(f"labeled-{name}")
+        for sigma, pi, carved in random_cases(5102, 400):
+            plabels = tuple(rng.choice(poset.elements) for _ in pi)
+            if carved is not None and rng.random() < 0.75:
+                # the carved occurrence carries the text's own labels
+                slabels = tuple(plabels[pos] for pos in carved)
+            else:
+                slabels = tuple(rng.choice(poset.elements) for _ in sigma)
+            s, p = LabeledPermutation(sigma, slabels), LabeledPermutation(pi, plabels)
+            expected = first_combination(
+                sigma, pi, lambda j, pos: poset.leq(slabels[j], plabels[pos])
+            )
+            assert labeled_containment_witness(s, p, poset) == expected, (s, p)
 
 
 class TestSubwordOrder:
