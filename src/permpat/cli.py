@@ -2,7 +2,8 @@
 plus ``paper-suite`` running the full property battery.
 
 Exit codes: 0 = true / success, 1 = false (boolean verbs) or a failing
-suite, 2 = usage error, 3 = size-guard refusal.  With ``--json`` every verb
+suite, 2 = usage error, 3 = size-guard refusal (also for input nested
+deeper than Python's recursion limit).  With ``--json`` every verb
 prints exactly one JSON object on stdout.
 """
 from __future__ import annotations
@@ -438,7 +439,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"warning: size guards raised to {args.max_n}", file=sys.stderr)
     try:
         code, lines, payload = args.handler(args)
-    except SizeGuardError as exc:
+    except (SizeGuardError, RecursionError) as exc:
         print(f"size-guard refusal: {exc}", file=sys.stderr)
         return 3
     except (ValueError, IndexError, KeyError, OSError, json.JSONDecodeError) as exc:

@@ -308,7 +308,8 @@ def components(pi: Perm, direction: str = "direct") -> list:
     for i, v in enumerate(pi):
         extreme = max(extreme, v if direction == "direct" else n + 1 - v)
         if extreme == i + 1:
-            out.append(reduce_sequence(pi[start : i + 1]))
+            offset = start if direction == "direct" else n - 1 - i
+            out.append(tuple(w - offset for w in pi[start : i + 1]))
             start = i + 1
     return out
 
@@ -467,34 +468,11 @@ def leaf() -> SubstitutionTree:
     return SubstitutionTree("leaf")
 
 
-def _maximal_interval_blocks(pi: Perm) -> list:
-    """Partition positions of a sum- and skew-indecomposable ``pi`` into its
-    maximal proper intervals plus singletons, as 0-based (start, end) pairs."""
-    ivs = intervals(pi)
-    maximal = [
-        (a, b)
-        for (a, b) in ivs
-        if not any((c, d) != (a, b) and c <= a and b <= d for (c, d) in ivs)
-    ]
-    blocks = []
-    covered = set()
-    for a, b in sorted(maximal):
-        blocks.append((a - 1, b - 1))
-        covered.update(range(a - 1, b))
-    for i in range(len(pi)):
-        if i not in covered:
-            blocks.append((i, i))
-    blocks.sort()
-    if [i for a, b in blocks for i in range(a, b + 1)] != list(range(len(pi))):
-        raise AssertionError(f"maximal intervals of {pi!r} do not partition its positions")
-    return blocks
-
-
 def decompose_tree(pi: Perm) -> SubstitutionTree:
     """The substitution decomposition tree of a nonempty permutation.
 
     The root is a plus/minus node when ``pi`` is a direct/skew sum, otherwise
-    a simple node whose skeleton has length >= 4; arity->=2 nodes absorb
+    a simple node whose skeleton has length >= 4; nodes of arity >= 2 absorb
     chains of binary sums, so no plus node has a plus child (dually for
     minus).
 
@@ -513,9 +491,19 @@ def decompose_tree(pi: Perm) -> SubstitutionTree:
     skew = components(pi, "skew")
     if len(skew) >= 2:
         return SubstitutionTree("minus", tuple(decompose_tree(c) for c in skew))
-    blocks = _maximal_interval_blocks(pi)
-    skeleton = reduce_sequence([pi[a] for a, _ in blocks])
-    children = tuple(decompose_tree(reduce_sequence(pi[a : b + 1])) for a, b in blocks)
+    # The maximal proper intervals of a sum- and skew-indecomposable pi are
+    # disjoint and contain every proper interval, so the longest interval that
+    # starts at a block's first position is that block (else a singleton).
+    longest = {i - 1: j for i, j in intervals(pi)}
+    blocks = []
+    start = 0
+    while start < len(pi):
+        end = longest.get(start, start + 1)
+        blocks.append(pi[start:end])
+        start = end
+    lows = [min(block) for block in blocks]
+    skeleton = reduce_sequence(lows)
+    children = tuple(decompose_tree(tuple(v - low + 1 for v in b)) for low, b in zip(lows, blocks))
     if not is_simple(skeleton) or len(skeleton) < 4:
         raise AssertionError(f"decomposition produced a bad skeleton for {pi!r}")
     return SubstitutionTree("simple", children, skeleton)

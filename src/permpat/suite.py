@@ -882,7 +882,10 @@ def run_suite(
     only: Optional[str] = None,
 ) -> SuiteResult:
     """Run every registered check (or those whose id contains ``only``),
-    in registry order, with deterministic per-check seeding."""
+    in registry order, with deterministic per-check seeding; refused under
+    ``python -O``, which strips the ``assert`` statements the checks use."""
+    if not __debug__:
+        raise ValueError("python -O strips the battery's assert statements; run it without -O")
     say = report or (lambda line: None)
     results = []
     t_start = time.perf_counter()

@@ -10,6 +10,7 @@ from pathlib import Path
 
 from permpat import classes as cl
 from permpat import grids as gr
+from permpat import perm as pm
 from permpat.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -282,6 +283,20 @@ class TestSuiteVerb:
         assert data["checks"][0]["id"] == "antichains.family-antichains"
         assert data["checks"][0]["passed"] is False
 
+    def test_optimized_interpreter_is_refused(self):
+        # python -O strips the asserts every check is made of, so a run
+        # there would pass without checking anything.
+        env = {**os.environ, "PYTHONPATH": str(Path(cl.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "permpat.cli", "paper-suite", "--only", "perm.symmetry"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 2
+        assert "PASS" not in proc.stdout
+        assert "-O" in proc.stderr and len(proc.stderr.splitlines()) == 1
+
 
 class TestExitCodesAndGuards:
     def test_size_guard_exit_three(self, capsys):
@@ -303,6 +318,20 @@ class TestExitCodesAndGuards:
             capsys, "enumerate", "12", "--class", AV12_JSON, "--max-n", "11"
         )
         assert code == 3 and "size-guard refusal" in err
+
+    def test_pattern_deeper_than_recursion_limit_exit_three(self, capsys):
+        text = " ".join(map(str, range(1, 1301)))
+        code, out, err = run(capsys, "contains", text[: text.index(" 1201")], text)
+        assert code == 3 and out == ""
+        assert err.startswith("size-guard refusal") and len(err.splitlines()) == 1
+
+    def test_tree_deeper_than_recursion_limit_exit_three(self, capsys):
+        chain = (1,)  # 1 + (1 - (1 + ...)): one tree level per entry
+        for k in range(1298):
+            chain = (pm.skew_sum if k % 2 == 0 else pm.direct_sum)((1,), chain)
+        code, out, err = run(capsys, "decompose", pm.format_perm(chain))
+        assert code == 3 and out == ""
+        assert err.startswith("size-guard refusal") and len(err.splitlines()) == 1
 
     def test_max_n_override_warns(self, capsys):
         code, out, err = run(

@@ -1,8 +1,11 @@
 """Core permutation operations: parsing, containment, symmetries, sums,
 intervals, simplicity, and the substitution decomposition."""
+import random
+
 import pytest
 
 from permpat import (
+    SubstitutionTree,
     all_patterns,
     all_perms,
     apply_symmetry,
@@ -234,3 +237,79 @@ class TestInflationAndTrees:
     def test_tree_rejects_empty(self):
         with pytest.raises(ValueError):
             decompose_tree(())
+
+
+def _oracle_components(pi, direction):
+    """Slices between the cuts where a prefix holds the lowest (direct) or
+    highest (skew) values, each reduced by sorting."""
+    n = len(pi)
+    cuts = [0]
+    for i in range(1, n + 1):
+        low = 1 if direction == "direct" else n - i + 1
+        if set(pi[:i]) == set(range(low, low + i)):
+            cuts.append(i)
+    return [reduce_sequence(pi[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+def _oracle_tree(pi):
+    """The substitution tree built from the maximal intervals, found by
+    filtering every proper interval, with blocks reduced by sorting."""
+    if len(pi) == 1:
+        return SubstitutionTree("leaf")
+    for kind, direction in (("plus", "direct"), ("minus", "skew")):
+        parts = _oracle_components(pi, direction)
+        if len(parts) >= 2:
+            return SubstitutionTree(kind, tuple(_oracle_tree(c) for c in parts))
+    ivs = intervals(pi)
+    maximal = [
+        (a, b) for a, b in ivs if not any((c, d) != (a, b) and c <= a and b <= d for c, d in ivs)
+    ]
+    covered = {i for a, b in maximal for i in range(a, b + 1)}
+    blocks = sorted(maximal + [(i, i) for i in range(1, len(pi) + 1) if i not in covered])
+    assert [i for a, b in blocks for i in range(a, b + 1)] == list(range(1, len(pi) + 1))
+    skeleton = reduce_sequence([pi[a - 1] for a, _ in blocks])
+    children = tuple(_oracle_tree(reduce_sequence(pi[a - 1 : b])) for a, b in blocks)
+    return SubstitutionTree("simple", children, skeleton)
+
+
+def _nested(rng, n, skeletons):
+    """A random tree of inflations of simple skeletons and direct/skew sums."""
+    if n == 1:
+        return (1,)
+    fitting = [s for s in skeletons if len(s) <= n]
+    if fitting and rng.random() < 0.4:
+        skeleton = rng.choice(fitting)
+        sizes = _split(rng, n, len(skeleton))
+        return inflate(skeleton, [_nested(rng, k, skeletons) for k in sizes])
+    out = ()
+    for k in _split(rng, n, rng.randint(2, min(n, 3))):
+        out = (direct_sum if rng.random() < 0.5 else skew_sum)(out, _nested(rng, k, skeletons))
+    return out
+
+
+def _split(rng, n, parts):
+    cuts = sorted(rng.sample(range(1, n), parts - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [n])]
+
+
+class TestTreeAgainstMaximalIntervalFilter:
+    def test_every_permutation_up_to_seven(self):
+        for n in range(1, 8):
+            for pi in all_perms(n):
+                assert decompose_tree(pi) == _oracle_tree(pi), pi
+
+    def test_seeded_uniform_and_nested(self):
+        rng = random.Random(6)
+        skeletons = simple_perms(4) + simple_perms(5) + simple_perms(6)
+        cases = [tuple(rng.sample(range(1, n + 1), n)) for n in rng.choices(range(8, 17), k=300)]
+        cases += [_nested(rng, n, skeletons) for n in rng.choices(range(8, 41), k=300)]
+        for pi in cases:
+            tree = decompose_tree(pi)
+            assert tree == _oracle_tree(pi), pi
+            assert tree.evaluate() == pi
+
+    def test_components_against_sorted_slices(self):
+        for n in range(8):
+            for pi in all_perms(n):
+                for direction in ("direct", "skew"):
+                    assert components(pi, direction) == _oracle_components(pi, direction), pi
