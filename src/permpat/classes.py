@@ -362,5 +362,7 @@ def class_to_json(c: PermClass) -> dict:
 def class_from_json(data) -> PermClass:
     if isinstance(data, str):
         data = json.loads(data)
-    basis = tuple(tuple(b) for b in data["basis"])
-    return PermClass(basis, data.get("name"))
+    basis = data["basis"] if isinstance(data, dict) else None
+    if not isinstance(basis, list) or not all(isinstance(b, list) for b in basis):
+        raise ValueError("a class is an object whose basis is an array of permutations (arrays)")
+    return PermClass(tuple(tuple(b) for b in basis), data.get("name"))

@@ -86,10 +86,14 @@ def _format_labeled(p: lb.LabeledPermutation) -> str:
 # ---------------------------------------------------------------------------
 # named oracles for the basis verb
 
-ORACLE_HELP = (
-    "av:<patterns> (comma-separated), separable, skew-merged, "
-    "x-monotone, x-geometric"
-)
+#: Each fixed oracle name, with a builder taking the size cap.
+_ORACLES = {
+    "separable": lambda max_n: cl.avoiding((2, 4, 1, 3), (3, 1, 4, 2)).member,
+    "skew-merged": lambda max_n: cl.avoiding((2, 1, 4, 3), (3, 4, 1, 2)).member,
+    "x-monotone": lambda max_n: lambda p: gr.grid_member(p, gr.X_MATRIX, max_n=max_n) is not None,
+    "x-geometric": lambda max_n: lambda p: gr.geom_member(p, gr.X_MATRIX, max_n=max_n) is not None,
+}
+ORACLE_HELP = ", ".join(["av:<patterns> (comma-separated)", *_ORACLES])
 
 
 def _named_oracle(name: str, max_n: Optional[int]):
@@ -97,19 +101,10 @@ def _named_oracle(name: str, max_n: Optional[int]):
         basis = tuple(pm.parse_perm(tok) for tok in name[3:].split(",") if tok)
         if not basis:
             raise ValueError("av: oracle needs at least one pattern")
-        c = cl.PermClass(basis)
-        return lambda p: c.member(p)
-    if name == "separable":
-        c = cl.avoiding((2, 4, 1, 3), (3, 1, 4, 2))
-        return lambda p: c.member(p)
-    if name == "skew-merged":
-        c = cl.avoiding((2, 1, 4, 3), (3, 4, 1, 2))
-        return lambda p: c.member(p)
-    if name == "x-monotone":
-        return lambda p: gr.grid_member(p, gr.X_MATRIX, max_n=max_n) is not None
-    if name == "x-geometric":
-        return lambda p: gr.geom_member(p, gr.X_MATRIX, max_n=max_n) is not None
-    raise ValueError(f"unknown oracle {name!r}; choose from: {ORACLE_HELP}")
+        return cl.PermClass(basis).member
+    if name not in _ORACLES:
+        raise ValueError(f"unknown oracle {name!r}; choose from: {ORACLE_HELP}")
+    return _ORACLES[name](max_n)
 
 
 # ---------------------------------------------------------------------------

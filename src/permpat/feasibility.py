@@ -143,9 +143,12 @@ def solve_strict(
 def check_strict(
     witness: Sequence, constraints: Iterable[Constraint]
 ) -> bool:
-    """True iff the witness satisfies every ``coeffs · x < rhs`` strictly."""
+    """True iff the witness satisfies every ``coeffs · x < rhs`` strictly.
+    Each row needs one coefficient per witness entry; zero terms are skipped."""
     for coeffs, rhs in constraints:
-        total = sum(Fraction(c) * Fraction(x) for c, x in zip(coeffs, witness))
+        if len(coeffs) != len(witness):
+            raise ValueError(f"expected {len(witness)} coefficients, got {len(coeffs)}")
+        total = sum(Fraction(c) * Fraction(x) for c, x in zip(coeffs, witness) if c)
         if not total < Fraction(rhs):
             return False
     return True

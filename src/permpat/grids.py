@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .classes import PermClass
+from .classes import PermClass, _layers
 from .feasibility import check_strict, solve_strict
 from .guards import check_size
 from .invgraph import Graph
-from .perm import Perm, all_perms, direct_sum, skew_sum
+from .perm import Perm, direct_sum, skew_sum
 
 VALID_ENTRIES = (-1, 0, 1)
 
@@ -93,7 +93,12 @@ def matrix_to_json(m: ZeroPmOneMatrix) -> dict:
 def matrix_from_json(data) -> ZeroPmOneMatrix:
     if isinstance(data, str):
         data = json.loads(data)
-    m = matrix_from_rows_top_first(data["entries"])
+    rows = data["entries"] if isinstance(data, dict) else None
+    if not isinstance(rows, list) or not all(
+        isinstance(r, list) and not any(isinstance(e, bool) for e in r) for r in rows
+    ):
+        raise ValueError("a matrix is an object whose entries are rows (arrays) of -1, 0 and 1")
+    m = matrix_from_rows_top_first(rows)
     if m.cols != data["cols"] or m.rows != data["rows"]:
         raise ValueError("declared cols/rows disagree with entries shape")
     return m
@@ -228,8 +233,8 @@ def grid_member(
 
 def _geometric_system(gp: GriddedPermutation, m: ZeroPmOneMatrix) -> list:
     """Strict constraints on one parameter per point placing the gridded
-    permutation on the standard figure.  Point i in cell (k, l) sits at
-    x = k−1+t_i and y = l−1+t_i (+1 cells) or y = l−t_i (−1 cells)."""
+    permutation on the standard figure.  Point i in cell (k, l) with sign s
+    sits at x = k−1+t_i and y = l − (1+s)/2 + s·t_i."""
     pi = gp.perm
     n = len(pi)
     constraints = []
@@ -251,17 +256,11 @@ def _geometric_system(gp: GriddedPermutation, m: ZeroPmOneMatrix) -> list:
                 # x increases with position: t_i < t_j
                 constraints.append(row((i, 1), (j, -1), rhs=0))
             if li == lj:
+                # y increases with value: y_lo < y_hi
                 lo, hi = (i, j) if pi[i] < pi[j] else (j, i)
                 slo = m.entry(*gp.cells[lo])
                 shi = m.entry(*gp.cells[hi])
-                if slo == 1 and shi == 1:
-                    constraints.append(row((lo, 1), (hi, -1), rhs=0))
-                elif slo == -1 and shi == -1:
-                    constraints.append(row((hi, 1), (lo, -1), rhs=0))
-                elif slo == 1 and shi == -1:
-                    constraints.append(row((lo, 1), (hi, 1), rhs=1))
-                else:  # slo == -1, shi == 1: y_lo = l - t_lo < l - 1 + t_hi
-                    constraints.append(row((lo, -1), (hi, -1), rhs=-1))
+                constraints.append(row((lo, slo), (hi, -shi), rhs=(slo - shi) // 2))
     return constraints
 
 
@@ -297,13 +296,14 @@ def drawing_coordinates(
     out = []
     for i, (k, l) in enumerate(gp.cells):
         t = Fraction(params[i])
-        x = k - 1 + t
-        y = (l - 1 + t) if m.entry(k, l) == 1 else (l - t)
-        out.append((x, y))
+        s = m.entry(k, l)
+        out.append((k - 1 + t, l - (1 + s) // 2 + s * t))
     return tuple(out)
 
 
-GRID_KINDS = ("monotone", "geometric")
+#: The membership decider of each kind of grid class.
+_DECIDERS = {"monotone": grid_member, "geometric": geom_member}
+GRID_KINDS = tuple(_DECIDERS)
 #: Default length cap of :func:`enumerate_grid`.
 ENUMERATE_GRID_MAX_N = 7
 
@@ -312,6 +312,8 @@ def enumerate_grid(
     m: ZeroPmOneMatrix, n: int, kind: str, max_n: Optional[int] = None
 ) -> tuple:
     """All length-n members of the monotone or geometric class, sorted.
+    Both classes are closed under deleting points, so they are built layer
+    by layer from one-point extensions of the shorter members.
 
     >>> len(enumerate_grid(X_MATRIX, 4, "monotone"))
     22
@@ -321,15 +323,10 @@ def enumerate_grid(
     if kind not in GRID_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {GRID_KINDS}")
     check_size("enumerate_grid", n, ENUMERATE_GRID_MAX_N, max_n)
-    out = []
-    for pi in all_perms(n):
-        if kind == "monotone":
-            hit = grid_member(pi, m, max_n=max_n)
-        else:
-            hit = geom_member(pi, m, max_n=max_n)
-        if hit is not None:
-            out.append(pi)
-    return tuple(out)
+    decide = _DECIDERS[kind]
+    for members, _ in _layers(lambda pi: decide(pi, m, max_n=max_n) is not None, n):
+        pass
+    return tuple(sorted(members))
 
 
 @dataclass(frozen=True)

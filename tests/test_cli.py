@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from permpat import classes as cl
 from permpat import grids as gr
 from permpat import perm as pm
@@ -152,6 +154,25 @@ class TestClassVerbs:
         code, out, _ = run(capsys, "basis", "x-monotone", "5")
         assert code == 0
         assert out.splitlines() == ["2 1 4 3", "3 4 1 2"]
+
+    def test_every_named_oracle(self, capsys):
+        expected = {
+            "av:321,12": ["1 2", "3 2 1"],
+            "separable": ["2 4 1 3", "3 1 4 2"],
+            "skew-merged": ["2 1 4 3", "3 4 1 2"],
+            "x-monotone": ["2 1 4 3", "3 4 1 2"],
+            "x-geometric": ["2 1 4 3", "2 4 1 3", "3 1 4 2", "3 4 1 2"],
+        }
+        for name, basis in expected.items():
+            code, out, _ = run(capsys, "basis", name, "4")
+            assert code == 0 and out.splitlines() == basis, name
+        for name in ("av:", "frobnicate"):
+            code, out, err = run(capsys, "basis", name, "4")
+            assert code == 2 and out == "", name
+        assert err.strip() == (
+            "error: unknown oracle 'frobnicate'; choose from: av:<patterns> "
+            "(comma-separated), separable, skew-merged, x-monotone, x-geometric"
+        )
 
     def test_plus_one_basis(self, capsys):
         code, out, _ = run(capsys, "plus-one-basis", "--class", AV12_JSON)
@@ -367,6 +388,23 @@ class TestExitCodesAndGuards:
         code, _, err = run(capsys, "member", "123", "--class", "/nonexistent.json")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "verb, flag, data, perm",
+        [
+            ("grid-member", "--matrix", {"cols": 2, "rows": 1, "entries": [1, -1]}, "21"),
+            ("grid-member", "--matrix", {"cols": 1, "rows": 1, "entries": [[True]]}, "1"),
+            ("grid-member", "--matrix", [[1]], "1"),
+            ("member", "--class", {"basis": [[1, 2], 5]}, "12"),
+            ("member", "--class", [[1, 2]], "12"),
+        ],
+    )
+    def test_malformed_json_is_a_usage_error(self, capsys, tmp_path, verb, flag, data, perm):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, verb, perm, flag, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: a ")
 
     def test_bad_perm_text(self, capsys):
         code, _, err = run(capsys, "contains", "12", "1,2,x")

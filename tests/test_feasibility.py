@@ -107,6 +107,40 @@ def test_wrong_row_length_raises():
         solve_strict(2, [((1,), 1)])
 
 
+def test_check_strict_refuses_rows_of_another_length():
+    # the witness never reaches t_2, or t_2 is never read
+    with pytest.raises(ValueError, match="expected 1 coefficients, got 2"):
+        check_strict((Fraction(1, 2),), [((1, 1), 1)])
+    with pytest.raises(ValueError, match="expected 2 coefficients, got 1"):
+        check_strict((0, 5), [((1,), 1)])
+
+
+def dense_check(witness, rows):
+    """The witness check summing every term, zeros included, in Fractions."""
+    for coeffs, rhs in rows:
+        total = sum(Fraction(c) * Fraction(x) for c, x in zip(coeffs, witness))
+        if not total < Fraction(rhs):
+            return False
+    return True
+
+
+def test_check_strict_matches_the_dense_sum():
+    rng = random.Random(20131)
+    values = [0, 0, 0, 0.0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), 0.5, -1.5]
+    verdicts = []
+    for _ in range(3000):
+        nvars = rng.randint(0, 4)
+        witness = tuple(rng.choice(values) for _ in range(nvars))
+        rows = [
+            (tuple(rng.choice(values) for _ in range(nvars)), rng.choice(values))
+            for _ in range(rng.randint(0, 2))
+        ]
+        verdict = check_strict(witness, rows)
+        assert verdict == dense_check(witness, rows), (witness, rows)
+        verdicts.append(verdict)
+    assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
+
+
 def test_bad_refutation_raises():
     rows = _unit_rows(2, [((1, -1), 0), ((-1, 1), 1)])
     with pytest.raises(RuntimeError):

@@ -26,6 +26,7 @@ from permpat import (
     minimal_nonmembers,
     validate_gridded,
 )
+from permpat.perm import all_perms
 
 
 class TestMatrixConstruction:
@@ -274,6 +275,77 @@ class TestBoundaryRegression:
     def test_odd_minus_representative_agrees_at_six(self):
         m = matrix_from_rows_top_first([[1, 1], [1, -1]])
         assert enumerate_grid(m, 6, "monotone") == enumerate_grid(m, 6, "geometric")
+
+
+def sweep_grid(m, n, kind):
+    """Length-n members of a grid class by deciding every permutation."""
+    decide = grid_member if kind == "monotone" else geom_member
+    return tuple(pi for pi in all_perms(n) if decide(pi, m) is not None)
+
+
+class TestLayersAgainstSweep:
+    @pytest.mark.parametrize("kind", grids.GRID_KINDS)
+    def test_every_matrix_up_to_two_by_two(self, kind):
+        for m in all_matrices(2, 2):
+            for n in range(5):
+                assert enumerate_grid(m, n, kind) == sweep_grid(m, n, kind), (m, n)
+
+    @pytest.mark.parametrize("kind", grids.GRID_KINDS)
+    @pytest.mark.parametrize(
+        "rows",
+        [[[-1, 1], [1, -1]], [[1, 0, -1], [0, 1, 1]], [[1, -1], [0, 1], [1, 0]]],
+    )
+    def test_larger_matrices_at_five(self, kind, rows):
+        m = matrix_from_rows_top_first(rows)
+        assert enumerate_grid(m, 5, kind) == sweep_grid(m, 5, kind)
+
+
+def four_branch_system(gp, m):
+    """The drawing constraints with one branch per sign pair of a same-row
+    pair, as :func:`grids._geometric_system` was first written."""
+    pi = gp.perm
+    n = len(pi)
+    constraints = []
+
+    def row(*pairs, rhs):
+        coeffs = [0] * n
+        for idx, c in pairs:
+            coeffs[idx] += c
+        return (tuple(coeffs), rhs)
+
+    for i in range(n):
+        constraints.append(row((i, 1), rhs=1))
+        constraints.append(row((i, -1), rhs=0))
+    for i in range(n):
+        for j in range(i + 1, n):
+            ki, li = gp.cells[i]
+            kj, lj = gp.cells[j]
+            if ki == kj:
+                constraints.append(row((i, 1), (j, -1), rhs=0))
+            if li == lj:
+                lo, hi = (i, j) if pi[i] < pi[j] else (j, i)
+                slo = m.entry(*gp.cells[lo])
+                shi = m.entry(*gp.cells[hi])
+                if slo == 1 and shi == 1:
+                    constraints.append(row((lo, 1), (hi, -1), rhs=0))
+                elif slo == -1 and shi == -1:
+                    constraints.append(row((hi, 1), (lo, -1), rhs=0))
+                elif slo == 1 and shi == -1:
+                    constraints.append(row((lo, 1), (hi, 1), rhs=1))
+                else:
+                    constraints.append(row((lo, -1), (hi, -1), rhs=-1))
+    return constraints
+
+
+def test_geometric_system_matches_four_branches():
+    griddings = 0
+    for m in all_matrices(2, 2):
+        for n in range(5):
+            for pi in all_perms(n):
+                for gp in grids._griddings(pi, m):
+                    assert grids._geometric_system(gp, m) == four_branch_system(gp, m), gp
+                    griddings += 1
+    assert griddings == 7502
 
 
 class TestGriddabilityEvidence:
