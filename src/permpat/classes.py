@@ -98,23 +98,49 @@ def _layers(
     other entries, and deleting any probed entry outside it leaves a
     nonmember.  When fewer than k other entries exist, all are probed, and
     the only occurrence that can remain is the whole candidate.
+
+    The previous layer is probed through an index, not built deletion by
+    deletion: ``index[parent]`` has bit ``pos`` set when inserting the
+    maximum at ``pos`` into ``parent`` gave a member, so it describes the
+    layer exactly and is keyed by tuples that exist anyway.  Deleting the
+    maximum leaves the parent's entries in order, so the first k entries of
+    a candidate other than its maximum are parent entries 1..k wherever the
+    maximum sits.  Deleting parent entry j from the candidate with the
+    maximum at ``pos`` gives ``delete_entry(parent, j)`` with the maximum at
+    ``pos - 1`` when ``j <= pos`` and at ``pos`` otherwise.  So each parent
+    needs k deletions, one lookup each, and the positions that survive
+    probe j are those of ``m`` below bit j and of ``m << 1`` from bit j up,
+    where ``m`` is the index entry of that deletion.  Survivors go to the
+    oracle in ascending position order.
     """
     members = {()} if oracle(()) else set()
     yield members, (set() if members else {()})
+    index = {}
     for n in range(1, nmax + 1):
         others = n - 1 if probes is None else min(probes, n - 1)
-        probe_at = [
-            [i for i in range(1, n + 1) if i != pos + 1][:others] for pos in range(n)
-        ]
-        prev, members, nonmembers = members, set(), set()
+        lows = [(1 << j) - 1 for j in range(1, others + 1)]
+        prev, prev_index = members, index
+        members, nonmembers, index = set(), set(), {}
         for parent in prev:
-            for pos in range(n):
+            free = (1 << n) - 1
+            for j, low in enumerate(lows, 1):
+                m = prev_index.get(delete_entry(parent, j), 0)
+                free &= (m & low) | (m << 1 & ~low)
+                if not free:
+                    break
+            kept = 0
+            while free:
+                bit = free & -free
+                free ^= bit
+                pos = bit.bit_length() - 1
                 pi = parent[:pos] + (n,) + parent[pos:]
-                for i in probe_at[pos]:
-                    if delete_entry(pi, i) not in prev:
-                        break
+                if oracle(pi):
+                    members.add(pi)
+                    kept |= bit
                 else:
-                    (members if oracle(pi) else nonmembers).add(pi)
+                    nonmembers.add(pi)
+            if kept:
+                index[parent] = kept
         yield members, nonmembers
 
 
@@ -363,6 +389,8 @@ def class_from_json(data) -> PermClass:
     if isinstance(data, str):
         data = json.loads(data)
     basis = data["basis"] if isinstance(data, dict) else None
-    if not isinstance(basis, list) or not all(isinstance(b, list) for b in basis):
-        raise ValueError("a class is an object whose basis is an array of permutations (arrays)")
+    if not isinstance(basis, list) or not all(
+        isinstance(b, list) and not any(isinstance(v, bool) for v in b) for b in basis
+    ):
+        raise ValueError("a class is an object whose basis is an array of arrays of integers")
     return PermClass(tuple(tuple(b) for b in basis), data.get("name"))

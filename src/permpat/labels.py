@@ -153,7 +153,14 @@ def poset_from_json(data) -> FinitePoset:
     """Build a poset from ``{"elements": [...], "leq": [[a, b], ...]}``."""
     if isinstance(data, str):
         data = json.loads(data)
-    return FinitePoset(_label_from_json(data["elements"]), _label_from_json(data.get("leq", [])))
+    leq = data.get("leq", []) if isinstance(data, dict) else None
+    if not (
+        isinstance(leq, list)
+        and all(isinstance(pair, list) and len(pair) == 2 for pair in leq)
+        and isinstance(data.get("elements"), list)
+    ):
+        raise ValueError("a poset is an object whose elements are an array and leq an array of pairs")
+    return FinitePoset(_label_from_json(data["elements"]), _label_from_json(leq))
 
 
 def poset_to_json(poset: FinitePoset) -> dict:

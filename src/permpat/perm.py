@@ -388,7 +388,22 @@ def is_simple(pi: Perm) -> bool:
     >>> is_simple((1, 2)), is_simple((2, 3, 1)), is_simple((2, 4, 1, 3))
     (True, False, True)
     """
-    return len(pi) >= 2 and not intervals(pi)
+    n = len(pi)
+    if n < 2:
+        return False
+    # the window scan of :func:`intervals`, which skips the whole of pi,
+    # stopped at the first proper interval
+    for i in range(n - 1):
+        lo = hi = pi[i]
+        for j in range(i + 1, n if i else n - 1):
+            v = pi[j]
+            if v < lo:
+                lo = v
+            elif v > hi:
+                hi = v
+            if hi - lo == j - i:
+                return False
+    return True
 
 
 def simple_perms(n: int) -> list:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from permpat import classes as cl
 from permpat import (
     PermClass,
     SizeGuardError,
@@ -14,6 +15,7 @@ from permpat import (
     closure_member,
     closure_member_tree,
     contains,
+    delete_entry,
     downward_closure,
     enumerate_members,
     increasing_oscillations,
@@ -302,3 +304,76 @@ class TestLayersAgainstSweeps:
             lambda pi: plus_one_member(pi, c), r.searched_to
         )
         assert r.basis_class.basis == expected
+
+
+# ---------------------------------------------------------------------------
+# the indexed layer generator against the probe-by-probe construction
+
+
+def _layers_by_probing(oracle, nmax: int, probes=None):
+    """The layer generator without the index: every probed one-point
+    deletion of every candidate is built and looked up in the previous
+    layer, the first ``probes`` entries other than the inserted maximum."""
+    members = {()} if oracle(()) else set()
+    yield members, (set() if members else {()})
+    for n in range(1, nmax + 1):
+        others = n - 1 if probes is None else min(probes, n - 1)
+        probe_at = [
+            [i for i in range(1, n + 1) if i != pos + 1][:others] for pos in range(n)
+        ]
+        prev, members, nonmembers = members, set(), set()
+        for parent in prev:
+            for pos in range(n):
+                pi = parent[:pos] + (n,) + parent[pos:]
+                for i in probe_at[pos]:
+                    if delete_entry(pi, i) not in prev:
+                        break
+                else:
+                    (members if oracle(pi) else nonmembers).add(pi)
+        yield members, nonmembers
+
+
+def _recorded(layers, oracle, nmax, probes):
+    """Each layer as a pair of sets, and every oracle call in order."""
+    calls = []
+
+    def recording(pi):
+        calls.append(pi)
+        return oracle(pi)
+
+    return [(set(m), set(x)) for m, x in layers(recording, nmax, probes)], calls
+
+
+def _index_bases(seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    return [
+        tuple(
+            tuple(rng.sample(range(1, k + 1), k))
+            for k in (rng.randint(2, 4) for _ in range(rng.randint(1, 3)))
+        )
+        for _ in range(count)
+    ]
+
+
+class TestLayerIndex:
+    @pytest.mark.parametrize("basis", _index_bases(4301, 12) + [((1, 2),), ((2, 1),)])
+    def test_class_oracle_with_basis_probes(self, basis):
+        c = PermClass(basis)
+        args = (lambda pi: pi not in c.basis, 7, c.max_basis_length())
+        assert _recorded(cl._layers, *args) == _recorded(_layers_by_probing, *args)
+
+    @pytest.mark.parametrize("basis", _index_bases(4302, 6) + [()])
+    def test_member_oracle_with_every_deletion_probed(self, basis):
+        args = (PermClass(basis).member, 7, None)
+        assert _recorded(cl._layers, *args) == _recorded(_layers_by_probing, *args)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_oracle_that_is_not_downward_closed(self, seed):
+        # the index describes the previous layer exactly, so the two agree
+        # even when the layers are not the members of a class
+        def oracle(pi):
+            return len(pi) < 3 or random.Random(f"{seed}:{pi}").random() < 0.9
+
+        for probes in (None, 1, 2):
+            args = (oracle, 6, probes)
+            assert _recorded(cl._layers, *args) == _recorded(_layers_by_probing, *args)

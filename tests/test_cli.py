@@ -272,6 +272,16 @@ class TestLabeledContains:
         assert out.strip() == "1 3"
 
 
+    @pytest.mark.parametrize(
+        "data", [[1], {"elements": "o*"}, {"elements": ["o"], "leq": 3}, {"elements": ["o"], "leq": [5]}]
+    )
+    def test_malformed_poset_is_a_usage_error(self, capsys, tmp_path, data):
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "labeled-contains", "1:o", "1:o", "--poset", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: a poset is an object")
+
     def test_array_label_is_a_usage_error(self, capsys):
         # a JSON array label becomes a tuple; it is not in the default poset
         code, out, err = run(capsys, "labeled-contains", '{"perm":[1],"labels":[["o"]]}', "21:o,o")
@@ -397,6 +407,7 @@ class TestExitCodesAndGuards:
             ("grid-member", "--matrix", [[1]], "1"),
             ("member", "--class", {"basis": [[1, 2], 5]}, "12"),
             ("member", "--class", [[1, 2]], "12"),
+            ("member", "--class", {"basis": [[True, 2]]}, "12"),
         ],
     )
     def test_malformed_json_is_a_usage_error(self, capsys, tmp_path, verb, flag, data, perm):

@@ -26,6 +26,7 @@ from permpat import (
     one_point_extensions,
     parse_perm,
     patterns_of_length,
+    perms_up_to,
     rc_inverse,
     reduce_sequence,
     reverse_complement,
@@ -209,6 +210,19 @@ class TestIntervalsAndSimplicity:
         expected = {2: 2, 3: 0, 4: 2, 5: 6, 6: 46, 7: 338}
         for n, count in expected.items():
             assert len(list(simple_perms(n))) == count
+
+    def test_is_simple_matches_intervals(self):
+        # the early-exit scan against the full interval list it stops short of
+        for pi in perms_up_to(8):
+            assert is_simple(pi) == (len(pi) >= 2 and not intervals(pi)), pi
+        rng = random.Random(8)
+        verdicts = set()
+        for _ in range(3000):
+            n = rng.randint(9, 16)
+            pi = tuple(rng.sample(range(1, n + 1), n))
+            verdicts.add(is_simple(pi))
+            assert is_simple(pi) == (not intervals(pi)), pi
+        assert verdicts == {False, True}
 
 
 class TestInflationAndTrees:
