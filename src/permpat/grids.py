@@ -124,27 +124,22 @@ def all_matrices(max_cols: int, max_rows: int) -> Iterator[ZeroPmOneMatrix]:
 def cell_graph(m: ZeroPmOneMatrix) -> Graph:
     """Vertices are the nonzero cells (sorted by column then row, labeled
     with their (column, row) pair); edges join two cells of a common row or
-    column with no nonzero cell strictly between them.
+    column with no nonzero cell strictly between them, that is, neighbours
+    in the column-major or the row-major order of the nonzero cells.
 
     >>> sorted(cell_graph(X_MATRIX).edges)
     [(1, 2), (1, 3), (2, 4), (3, 4)]
     """
     cells = m.nonzero_cells()
     index = {cell: i + 1 for i, cell in enumerate(cells)}
-    edges = set()
-    for (k1, l1) in cells:
-        for (k2, l2) in cells:
-            if (k1, l1) >= (k2, l2):
-                continue
-            if k1 == k2 and all(
-                m.entry(k1, l) == 0 for l in range(min(l1, l2) + 1, max(l1, l2))
-            ):
-                edges.add((index[(k1, l1)], index[(k2, l2)]))
-            elif l1 == l2 and all(
-                m.entry(k, l1) == 0 for k in range(min(k1, k2) + 1, max(k1, k2))
-            ):
-                edges.add((index[(k1, l1)], index[(k2, l2)]))
-    return Graph(len(cells), frozenset(edges), labels=cells if cells else None)
+    by_row = sorted(cells, key=lambda c: (c[1], c[0]))
+    edges = frozenset(
+        (index[a], index[b])
+        for axis, line in ((0, cells), (1, by_row))
+        for a, b in zip(line, line[1:])
+        if a[axis] == b[axis]
+    )
+    return Graph(len(cells), edges, labels=cells if cells else None)
 
 
 @dataclass(frozen=True)
@@ -185,31 +180,24 @@ def validate_gridded(gp: GriddedPermutation, m: ZeroPmOneMatrix) -> bool:
     return True
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple]:
-    """Weak compositions in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _cuts(n: int, parts: int) -> list:
+    """Every weakly increasing assignment of parts 1..parts to n items (an
+    entry's column, or a value's row), in descending lexicographic order:
+    the order of ascending part sizes.
+
+    >>> _cuts(2, 2)
+    [(2, 2), (1, 2), (1, 1)]
+    """
+    return list(itertools.combinations_with_replacement(range(1, parts + 1), n))[::-1]
 
 
 def _griddings(pi: Perm, m: ZeroPmOneMatrix) -> Iterator[GriddedPermutation]:
-    """All legal griddings, column cuts outer, value cuts inner, both
-    lexicographic."""
-    n = len(pi)
-    for col_sizes in _compositions(n, m.cols):
-        col_of_pos = []
-        for k, size in enumerate(col_sizes, start=1):
-            col_of_pos.extend([k] * size)
-        for row_sizes in _compositions(n, m.rows):
-            row_of_value = []
-            for l, size in enumerate(row_sizes, start=1):
-                row_of_value.extend([l] * size)
-            cells = tuple(
-                (col_of_pos[i], row_of_value[pi[i] - 1]) for i in range(n)
-            )
+    """All legal griddings, column cuts outer, value cuts inner, both in
+    lexicographic order of their part sizes."""
+    rows = _cuts(len(pi), m.rows)
+    for col_of_pos in _cuts(len(pi), m.cols):
+        for row_of_value in rows:
+            cells = tuple(zip(col_of_pos, [row_of_value[v - 1] for v in pi]))
             gp = GriddedPermutation(pi, cells)
             if validate_gridded(gp, m):
                 yield gp
@@ -219,8 +207,8 @@ def grid_member(
     pi: Perm, m: ZeroPmOneMatrix, max_n: Optional[int] = None
 ) -> Optional[GriddedPermutation]:
     """The first legal gridding (search order: column cuts outer, value cuts
-    inner, lexicographic), or None when no lines divide the plot into
-    correctly monotone cells.
+    inner, lexicographic in part sizes), or None when no lines divide the
+    plot into correctly monotone cells.
 
     >>> grid_member((3, 1, 4, 2), X_MATRIX) is not None
     True

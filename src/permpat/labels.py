@@ -14,7 +14,7 @@ from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .perm import Perm, _move_points, _witness, delete_entry, format_perm, reduce_sequence
+from .perm import Perm, _move_points, _witness, check_perm, delete_entry, format_perm, reduce_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,12 @@ def labeled_from_json(data) -> LabeledPermutation:
     """Build from ``{"perm": [...], "labels": [...]}``."""
     if isinstance(data, str):
         data = json.loads(data)
-    return LabeledPermutation(tuple(data["perm"]), _label_from_json(data["labels"]))
+    perm, labels = (data.get("perm"), data.get("labels")) if isinstance(data, dict) else (None, None)
+    if not (
+        isinstance(perm, list) and all(type(v) is int for v in perm) and isinstance(labels, list)
+    ):
+        raise ValueError("a labeled permutation is an object whose perm is an array of integers and labels an array")
+    return LabeledPermutation(check_perm(perm), _label_from_json(labels))
 
 
 def labeled_to_json(p: LabeledPermutation) -> dict:

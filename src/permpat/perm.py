@@ -479,8 +479,14 @@ class SubstitutionTree:
         ) <= 9 else f"({format_perm(self.skeleton)})[{inner}]"
 
 
+#: The one leaf node every tree shares (nodes are frozen).
+_LEAF = SubstitutionTree("leaf")
+#: Node kind of each sum direction, in the order they are tried.
+_SUM_NODES = (("plus", "direct"), ("minus", "skew"))
+
+
 def leaf() -> SubstitutionTree:
-    return SubstitutionTree("leaf")
+    return _LEAF
 
 
 def decompose_tree(pi: Perm) -> SubstitutionTree:
@@ -498,14 +504,20 @@ def decompose_tree(pi: Perm) -> SubstitutionTree:
     """
     if len(pi) == 0:
         raise ValueError("the empty permutation has no decomposition tree")
+    return _tree(pi, None)
+
+
+def _tree(pi: Perm, cut: Optional[str]) -> SubstitutionTree:
+    """The tree of ``pi``, a component of a sum in direction ``cut`` (None
+    for a root or a block of a simple node); ``pi`` is indecomposable in
+    that direction, so it is not split along it again."""
     if len(pi) == 1:
-        return leaf()
-    direct = components(pi, "direct")
-    if len(direct) >= 2:
-        return SubstitutionTree("plus", tuple(decompose_tree(c) for c in direct))
-    skew = components(pi, "skew")
-    if len(skew) >= 2:
-        return SubstitutionTree("minus", tuple(decompose_tree(c) for c in skew))
+        return _LEAF
+    for kind, direction in _SUM_NODES:
+        if direction != cut:
+            parts = components(pi, direction)
+            if len(parts) >= 2:
+                return SubstitutionTree(kind, tuple(_tree(c, direction) for c in parts))
     # The maximal proper intervals of a sum- and skew-indecomposable pi are
     # disjoint and contain every proper interval, so the longest interval that
     # starts at a block's first position is that block (else a singleton).
@@ -518,7 +530,7 @@ def decompose_tree(pi: Perm) -> SubstitutionTree:
         start = end
     lows = [min(block) for block in blocks]
     skeleton = reduce_sequence(lows)
-    children = tuple(decompose_tree(tuple(v - low + 1 for v in b)) for low, b in zip(lows, blocks))
+    children = tuple(_tree(tuple(v - low + 1 for v in b), None) for low, b in zip(lows, blocks))
     if not is_simple(skeleton) or len(skeleton) < 4:
         raise AssertionError(f"decomposition produced a bad skeleton for {pi!r}")
     return SubstitutionTree("simple", children, skeleton)

@@ -282,6 +282,20 @@ class TestLabeledContains:
         assert code == 2 and out == ""
         assert err.startswith("error: a poset is an object")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"perm": 5, "labels": ["o"]}', "a labeled permutation is an object"),
+            ('{"perm": [true], "labels": ["o"]}', "a labeled permutation is an object"),
+            ('{"perm": [2, 2], "labels": ["o", "o"]}', "not a permutation"),
+            ('{"perm": [1], "labels": "o"}', "a labeled permutation is an object"),
+        ],
+    )
+    def test_malformed_labeled_perm_is_a_usage_error(self, capsys, text, message):
+        code, out, err = run(capsys, "labeled-contains", text, "1:o")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}")
+
     def test_array_label_is_a_usage_error(self, capsys):
         # a JSON array label becomes a tuple; it is not in the default poset
         code, out, err = run(capsys, "labeled-contains", '{"perm":[1],"labels":[["o"]]}', "21:o,o")

@@ -102,6 +102,83 @@ class TestCellGraph:
         assert g.edges == frozenset()
 
 
+def _compositions(total, parts):
+    """Weak compositions in lexicographic order (the previous cut source)."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def griddings_from_compositions(pi, m):
+    """Oracle: every legal gridding, column cuts outer and value cuts inner,
+    each cut a weak composition of the entries in lexicographic order."""
+    n = len(pi)
+    for col_sizes in _compositions(n, m.cols):
+        col_of_pos = [k for k, size in enumerate(col_sizes, start=1) for _ in range(size)]
+        for row_sizes in _compositions(n, m.rows):
+            row_of_value = [l for l, size in enumerate(row_sizes, start=1) for _ in range(size)]
+            cells = tuple((col_of_pos[i], row_of_value[pi[i] - 1]) for i in range(n))
+            gp = GriddedPermutation(pi, cells)
+            if validate_gridded(gp, m):
+                yield gp
+
+
+def cell_graph_by_scan(m):
+    """Oracle: join two nonzero cells of a common column or row when every
+    cell strictly between them is zero."""
+    cells = m.nonzero_cells()
+    index = {cell: i + 1 for i, cell in enumerate(cells)}
+    edges = set()
+    for a in cells:
+        for b in cells:
+            if a >= b:
+                continue
+            if a[0] == b[0]:
+                between = [m.entry(a[0], l) for l in range(a[1] + 1, b[1])]
+            elif a[1] == b[1]:
+                between = [m.entry(k, a[1]) for k in range(a[0] + 1, b[0])]
+            else:
+                continue
+            if not any(between):
+                edges.add((index[a], index[b]))
+    return (len(cells), frozenset(edges), cells if cells else None)
+
+
+class TestAgainstOracles:
+    @staticmethod
+    def _assert_same_griddings(pi, m):
+        got = [gp.cells for gp in grids._griddings(pi, m)]
+        assert got == [gp.cells for gp in griddings_from_compositions(pi, m)], (m, pi)
+        return got
+
+    def test_griddings_every_matrix_up_to_two_by_two(self):
+        found = 0
+        for m in all_matrices(2, 2):
+            for n in range(6):
+                for pi in all_perms(n):
+                    found += len(self._assert_same_griddings(pi, m))
+        assert found > 0
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[-1, 1], [1, -1]], [[1, 0, -1], [0, 1, 1]], [[1, -1], [0, 1], [1, 0]]],
+    )
+    def test_griddings_at_six(self, rows):
+        m = matrix_from_rows_top_first(rows)
+        many = 0
+        for pi in all_perms(6):
+            many += len(self._assert_same_griddings(pi, m)) > 1
+        assert many > 0
+
+    def test_cell_graphs_every_matrix_up_to_three_by_three(self):
+        for m in all_matrices(3, 3):
+            g = cell_graph(m)
+            assert (g.n, g.edges, g.labels) == cell_graph_by_scan(m), m
+
+
 class TestMonotoneGridding:
     def test_member_witness(self):
         gp = grid_member((3, 1, 4, 2), X_MATRIX)

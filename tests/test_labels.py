@@ -140,6 +140,11 @@ class TestLabeledContainment:
         with pytest.raises(ValueError):
             labeled_from_json('{"perm": [1], "labels": [{"a": 1}]}')
 
+    @pytest.mark.parametrize("data", [[1], "[1]", {"labels": ["o"]}, {"perm": [1.0], "labels": ["o"]}])
+    def test_non_object_or_non_integer_perm_rejected(self, data):
+        with pytest.raises(ValueError, match="a labeled permutation is an object"):
+            labeled_from_json(data)
+
 
 def first_combination(sigma, pi, fits=lambda j, pos: True):
     """Brute-force oracle: the first 1-based index tuple, in

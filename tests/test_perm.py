@@ -248,6 +248,10 @@ class TestInflationAndTrees:
         assert decompose_tree((3, 2, 1)).shape() == "-[leaf, leaf, leaf]"
         assert decompose_tree((1,)).shape() == "leaf"
 
+    def test_trees_share_one_leaf(self):
+        leaves = decompose_tree((2, 4, 1, 3)).children + decompose_tree((1, 3, 2)).children[:1]
+        assert all(node is leaves[0] for node in leaves)
+
     def test_tree_rejects_empty(self):
         with pytest.raises(ValueError):
             decompose_tree(())
