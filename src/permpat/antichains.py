@@ -22,7 +22,7 @@ extended parametrically; every extension is certified (or refuted) by
 """
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .invgraph import inversion_graph, is_path
 from .labels import FILLED, HOLLOW, LabeledPermutation, find_good_pair
@@ -185,22 +185,19 @@ def labeled_antichain_member(k: int) -> LabeledPermutation:
     return LabeledPermutation(pi, labels)
 
 
-class _Family(NamedTuple):
-    member: Callable  # k -> the member (a LabeledPermutation for labeled-path)
-    length: Callable  # k -> the member's length
-
-
 _FAMILIES = {
-    "amr-oscillation": _Family(amr_oscillation_member, lambda k: 2 * k + 4),
-    "amr-tarjan": _Family(amr_tarjan_member, lambda k: 2 * k + 2),
-    "widdershins": _Family(widdershins_member, lambda k: 4 * k),
-    "labeled-path": _Family(labeled_antichain_member, lambda k: k + 1),
+    "amr-oscillation": amr_oscillation_member,
+    "amr-tarjan": amr_tarjan_member,
+    "widdershins": widdershins_member,
+    "labeled-path": labeled_antichain_member,
 }
 
 FAMILY_IDS = tuple(_FAMILIES)
 
 
-def _family(family: str) -> _Family:
+def _family(family: str) -> Callable:
+    """The generator ``k ->`` member k of the family (a LabeledPermutation
+    for labeled-path)."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_IDS}")
     return _FAMILIES[family]
@@ -208,9 +205,7 @@ def _family(family: str) -> _Family:
 
 def member_length(family: str, k: int) -> int:
     """Length of member ``k`` of the family."""
-    if k < 1:
-        raise ValueError("index must be at least 1")
-    return _family(family).length(k)
+    return len(_family(family)(k))
 
 
 def index_for_length(family: str, n: int) -> int:
@@ -231,7 +226,7 @@ def antichain_member(family: str, k: int) -> Perm:
     >>> antichain_member("amr-tarjan", 1)
     (2, 3, 4, 1)
     """
-    member = _family(family).member(k)
+    member = _family(family)(k)
     return member.perm if isinstance(member, LabeledPermutation) else member
 
 

@@ -21,7 +21,6 @@ from . import invgraph as ig
 from . import labels as lb
 from . import perm as pm
 from .guards import SizeGuardError, check_size
-from .suite import run_suite
 
 Outcome = Tuple[int, List[str], dict]
 
@@ -270,7 +269,7 @@ def _do_cellgraph(args) -> Outcome:
 
 
 def _do_antichain(args) -> Outcome:
-    member = ac._family(args.family).member(args.k)
+    member = ac._family(args.family)(args.k)
     out = {"family": args.family, "k": args.k}
     if isinstance(member, lb.LabeledPermutation):
         line = _format_labeled(member)
@@ -299,6 +298,8 @@ def _do_labeled_contains(args) -> Outcome:
 
 
 def _do_paper_suite(args) -> Outcome:
+    from .suite import run_suite  # only this verb loads the battery
+
     lines: List[str] = []
     result = run_suite(seed=args.seed, report=lines.append, only=args.only)
     out = {

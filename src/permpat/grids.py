@@ -180,21 +180,27 @@ def validate_gridded(gp: GriddedPermutation, m: ZeroPmOneMatrix) -> bool:
     return True
 
 
-def _cuts(n: int, parts: int) -> list:
+def _cuts(n: int, parts: int) -> Iterator[tuple]:
     """Every weakly increasing assignment of parts 1..parts to n items (an
     entry's column, or a value's row), in descending lexicographic order:
-    the order of ascending part sizes.
+    the order of ascending part sizes, which is the ascending order of the
+    ``parts - 1`` cut points.  Lazy, so a search can stop at the first.
 
-    >>> _cuts(2, 2)
+    >>> list(_cuts(2, 2))
     [(2, 2), (1, 2), (1, 1)]
     """
-    return list(itertools.combinations_with_replacement(range(1, parts + 1), n))[::-1]
+    for points in itertools.combinations_with_replacement(range(n + 1), parts - 1):
+        cut, low = (), 0
+        for part, high in enumerate(points + (n,), 1):
+            cut += (part,) * (high - low)
+            low = high
+        yield cut
 
 
 def _griddings(pi: Perm, m: ZeroPmOneMatrix) -> Iterator[GriddedPermutation]:
     """All legal griddings, column cuts outer, value cuts inner, both in
     lexicographic order of their part sizes."""
-    rows = _cuts(len(pi), m.rows)
+    rows = list(_cuts(len(pi), m.rows))
     for col_of_pos in _cuts(len(pi), m.cols):
         for row_of_value in rows:
             cells = tuple(zip(col_of_pos, [row_of_value[v - 1] for v in pi]))

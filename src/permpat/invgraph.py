@@ -14,9 +14,10 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .classes import _layers
 from .guards import check_size
 from .labels import FinitePoset, _label_from_json
-from .perm import SYMMETRY_NAMES, Perm, _move_points, all_perms
+from .perm import SYMMETRY_NAMES, Perm, _move_points
 
 
 @dataclass(frozen=True)
@@ -293,10 +294,11 @@ def is_cycle(g: Graph) -> bool:
 
 
 def is_cograph(g: Graph) -> bool:
-    """True iff no 4 vertices induce a path (P4-freeness)."""
+    """True iff no 4 vertices induce a path (P4-freeness).  Of the graphs on
+    four vertices only P4 has degree sequence (1, 1, 2, 2)."""
+    adj = [[g.has_edge(u, v) for v in range(g.n + 1)] for u in range(g.n + 1)]
     for quad in itertools.combinations(range(1, g.n + 1), 4):
-        sub = g.induced(quad)
-        if len(sub.edges) == 3 and sub.degree_sequence() == (1, 1, 2, 2) and is_connected(sub):
+        if sorted(sum(adj[u][v] for v in quad) for u in quad) == [1, 1, 2, 2]:
             return False
     return True
 
@@ -363,25 +365,12 @@ def preimages(g: Graph, n: int, max_n: Optional[int] = None) -> set:
     check_size("preimages", n, 8, max_n)
     if g.n != n:
         return set()
-    plain = Graph(g.n, g.edges)
-    target_edges = len(plain.edges)
-    target_degrees = plain.degree_sequence()
-    out = set()
-    for pi in all_perms(n):
-        inv_count = sum(
-            1
-            for i in range(n)
-            for j in range(i + 1, n)
-            if pi[i] > pi[j]
-        )
-        if inv_count != target_edges:
-            continue
-        candidate = inversion_graph(pi)
-        if candidate.degree_sequence() != target_degrees:
-            continue
-        if is_isomorphic(candidate, plain):
-            out.add(pi)
-    return out
+    # A point deletion of pi deletes a vertex of its inversion graph, so the
+    # permutations whose graph embeds in g are downward closed; at length
+    # g.n an induced embedding is an isomorphism.
+    for members, _ in _layers(lambda pi: induced_embeds(inversion_graph(pi), g) is not None, n):
+        pass
+    return members
 
 
 def symmetry_automorphism_maps(sigma: Perm) -> dict:

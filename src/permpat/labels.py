@@ -184,7 +184,7 @@ class LabeledPermutation:
                 f"got {len(self.labels)} labels for a permutation of length {len(self.perm)}"
             )
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "perm", tuple(self.perm))
+        object.__setattr__(self, "perm", check_perm(self.perm))
 
     def __len__(self) -> int:
         return len(self.perm)
@@ -209,7 +209,7 @@ def labeled_from_json(data) -> LabeledPermutation:
         isinstance(perm, list) and all(type(v) is int for v in perm) and isinstance(labels, list)
     ):
         raise ValueError("a labeled permutation is an object whose perm is an array of integers and labels an array")
-    return LabeledPermutation(check_perm(perm), _label_from_json(labels))
+    return LabeledPermutation(perm, _label_from_json(labels))
 
 
 def labeled_to_json(p: LabeledPermutation) -> dict:

@@ -485,10 +485,6 @@ _LEAF = SubstitutionTree("leaf")
 _SUM_NODES = (("plus", "direct"), ("minus", "skew"))
 
 
-def leaf() -> SubstitutionTree:
-    return _LEAF
-
-
 def decompose_tree(pi: Perm) -> SubstitutionTree:
     """The substitution decomposition tree of a nonempty permutation.
 

@@ -621,19 +621,13 @@ def check_closure_ordering(seed: int) -> str:
     rng = _rng(seed, "closure-ordering")
     classes = [cl.PermClass(b) for b in SAMPLE_CLASSES]
     count = 0
-    for n in range(0, 8):
-        for pi in pm.all_perms(n):
-            for c in classes:
-                if cl.closure_member(pi, c, "sum"):
-                    assert cl.closure_member(pi, c, "separable"), (pi, c.basis)
-                if cl.closure_member(pi, c, "skew"):
-                    assert cl.closure_member(pi, c, "separable"), (pi, c.basis)
-                count += 1
-    for _ in range(600):
-        pi = _random_perm(rng, 8)
+    exhaustive = (pi for n in range(0, 8) for pi in pm.all_perms(n))
+    seeded = (_random_perm(rng, 8) for _ in range(600))
+    for pi in itertools.chain(exhaustive, seeded):
         for c in classes:
-            if cl.closure_member(pi, c, "sum"):
-                assert cl.closure_member(pi, c, "separable"), (pi, c.basis)
+            for kind in ("sum", "skew"):
+                if cl.closure_member(pi, c, kind):
+                    assert cl.closure_member(pi, c, "separable"), (pi, c.basis)
             count += 1
     return f"sum and skew closures sit inside the separable closure ({count} decisions: exhaustive |pi| <= 7 + 600 seeded at 8)"
 
@@ -672,21 +666,15 @@ def _forest_and_c4_matrices():
 def check_geom_inside_grid(seed: int) -> str:
     rng = _rng(seed, "geom-inside-grid")
     matrices = list(gr.all_matrices(2, 2))
+    cases = [(m, n) for m in matrices for n in range(1, 5)]
+    cases += [(m, 5) for m in rng.sample(matrices, 12)]
     count = 0
-    for m in matrices:
-        for n in range(1, 5):
-            for pi in pm.all_perms(n):
-                geo = gr.geom_member(pi, m)
-                if geo is not None:
-                    gp, params = geo
-                    assert gr.validate_gridded(gp, m), (pi,)
-                    assert gr.grid_member(pi, m) is not None, (pi,)
-                count += 1
-    sampled = rng.sample(matrices, 12)
-    for m in sampled:
-        for pi in pm.all_perms(5):
+    for m, n in cases:
+        for pi in pm.all_perms(n):
             geo = gr.geom_member(pi, m)
             if geo is not None:
+                gp, params = geo
+                assert gr.validate_gridded(gp, m), (pi,)
                 assert gr.grid_member(pi, m) is not None, (pi,)
             count += 1
     return f"geometric members are monotone-griddable too, witnesses re-validated ({count} decisions: all 102 matrices for |pi| <= 4, 12 seeded at 5)"

@@ -342,6 +342,13 @@ class TestSuiteVerb:
         assert "PASS" not in proc.stdout
         assert "-O" in proc.stderr and len(proc.stderr.splitlines()) == 1
 
+    def test_other_verbs_do_not_load_the_battery(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cl.__file__).parents[1])}
+        code = "import sys, permpat.cli; print('permpat.suite' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestExitCodesAndGuards:
     def test_size_guard_exit_three(self, capsys):

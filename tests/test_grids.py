@@ -1,6 +1,8 @@
 """Tests for gridded permutations: 0/±1 matrices, cell graphs, monotone and
 geometric grid classes, drawings, and griddability evidence."""
 
+import tracemalloc
+
 import pytest
 
 from permpat import grids
@@ -180,6 +182,19 @@ class TestAgainstOracles:
 
 
 class TestMonotoneGridding:
+    def test_first_column_cut_needs_no_cut_list(self):
+        # 1×10 all-increasing: the first column cut already grids the
+        # identity, so the other 293 929 column cuts are never built
+        m = ZeroPmOneMatrix(10, 1, tuple((1,) for _ in range(10)))
+        tracemalloc.start()
+        try:
+            gp = grid_member(tuple(range(1, 13)), m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gp is not None and validate_gridded(gp, m)
+        assert peak < 1_000_000, peak
+
     def test_member_witness(self):
         gp = grid_member((3, 1, 4, 2), X_MATRIX)
         assert gp is not None

@@ -1,5 +1,6 @@
 """Inversion graphs: construction, isomorphism search, structural
 predicates, primality, and permutation preimages."""
+import functools
 import itertools
 import json
 import random
@@ -239,6 +240,40 @@ class TestStructuralPredicates:
         assert not flags["is_cycle"]
 
 
+def subgraph_cograph(g):
+    """The per-4-set test ``is_cograph`` replaced: build the induced
+    subgraph and look for three edges, degrees (1, 1, 2, 2), connected."""
+    for quad in itertools.combinations(range(1, g.n + 1), 4):
+        sub = g.induced(quad)
+        if len(sub.edges) == 3 and sub.degree_sequence() == (1, 1, 2, 2) and is_connected(sub):
+            return False
+    return True
+
+
+def random_graph(rng, n):
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return Graph(n, frozenset(e for e in pairs if rng.random() < rng.random()))
+
+
+class TestCographAgainstSubgraphs:
+    def test_every_graph_up_to_five_vertices(self):
+        for n in range(0, 6):
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            for bits in itertools.product((False, True), repeat=len(pairs)):
+                g = Graph(n, frozenset(e for e, keep in zip(pairs, bits) if keep))
+                assert is_cograph(g) == subgraph_cograph(g), g
+
+    def test_seeded_graphs_up_to_nine_vertices(self):
+        rng = random.Random(4417)
+        verdicts = set()
+        for _ in range(1200):
+            g = random_graph(rng, rng.randint(4, 9))
+            verdict = is_cograph(g)
+            assert verdict == subgraph_cograph(g), g
+            verdicts.add(verdict)
+        assert verdicts == {False, True}
+
+
 class TestPrimality:
     def test_conventions(self):
         assert is_prime(Graph(0, frozenset()))
@@ -290,3 +325,68 @@ class TestPreimages:
         sigma = (2, 4, 1, 3)
         expected = {sigma, inverse(sigma), reverse_complement(sigma), rc_inverse(sigma)}
         assert preimages(inversion_graph(sigma), 4) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_table(n):
+    """Each permutation of length n with its inversion count, the degree
+    sequence of its inversion graph, and that graph."""
+    table = []
+    for pi in all_perms(n):
+        g = inversion_graph(pi)
+        table.append((pi, len(g.edges), g.degree_sequence(), g))
+    return table
+
+
+def sweep_preimages(g, n):
+    """The sweep ``preimages`` replaced: every permutation of length n with
+    the right inversion count and degree sequence, tested for isomorphism."""
+    if g.n != n:
+        return set()
+    plain = Graph(g.n, g.edges)
+    key = (len(plain.edges), plain.degree_sequence())
+    return {
+        pi
+        for pi, edges, degrees, candidate in _sweep_table(n)
+        if (edges, degrees) == key and is_isomorphic(candidate, plain)
+    }
+
+
+class TestPreimagesAgainstSweep:
+    """``preimages`` runs the layer generator; the sweep over Sₙ is the
+    oracle."""
+
+    def test_every_inversion_graph_up_to_six(self):
+        for n in range(0, 7):
+            for pi in all_perms(n):
+                g = inversion_graph(pi)
+                assert preimages(g, n) == sweep_preimages(g, n), pi
+
+    def test_seeded_prime_graphs_of_length_seven(self):
+        simple = [pi for pi in all_perms(7) if is_simple(pi)]
+        for pi in random.Random(7213).sample(simple, 60):
+            g = inversion_graph(pi)
+            assert is_prime(g)
+            assert preimages(g, 7) == sweep_preimages(g, 7), pi
+
+    def test_labels_are_ignored(self):
+        for g in small_graphs(labeled=True):
+            got = preimages(g, g.n)
+            assert got == sweep_preimages(g, g.n) == preimages(Graph(g.n, g.edges), g.n), g
+
+    def test_size_mismatch(self):
+        for g in (path_graph(4), cycle_graph(5), Graph(0, frozenset())):
+            for n in (g.n - 1, g.n + 1):
+                if n >= 0:
+                    assert preimages(g, n) == sweep_preimages(g, n) == set()
+
+    def test_non_inversion_graphs(self):
+        assert preimages(cycle_graph(5), 5) == sweep_preimages(cycle_graph(5), 5) == set()
+        rng = random.Random(9034)
+        empty = 0
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(3, 7))
+            got = preimages(g, g.n)
+            assert got == sweep_preimages(g, g.n), g
+            empty += not got
+        assert empty > 0

@@ -126,6 +126,13 @@ class TestLabeledContainment:
         with pytest.raises(ValueError):
             labeled_contains(pattern, text, TWO_ANTICHAIN)
 
+    @pytest.mark.parametrize("perm", [(2, 2), (0, 1), (1, 3)])
+    def test_non_permutation_rejected(self, perm):
+        with pytest.raises(ValueError, match="not a permutation"):
+            LabeledPermutation(perm, (HOLLOW, HOLLOW))
+        with pytest.raises(ValueError, match="not a permutation"):
+            labeled_from_json({"perm": list(perm), "labels": ["o", "o"]})
+
     def test_json_round_trip(self):
         p = LabeledPermutation((3, 1, 2), (FILLED, HOLLOW, FILLED))
         assert labeled_from_json(labeled_to_json(p)) == p
