@@ -67,10 +67,6 @@ class PermClass:
     def max_basis_length(self) -> int:
         return max((len(b) for b in self.basis), default=0)
 
-    def describe(self) -> str:
-        inner = ", ".join(" ".join(str(v) for v in b) for b in self.basis)
-        return f"Av({inner})"
-
 
 def avoiding(*basis: Perm, name: Optional[str] = None) -> PermClass:
     """Convenience constructor: ``avoiding((3,2,1), (3,4,1,2))``."""

@@ -12,7 +12,11 @@ be placed on the standard figure — the union of the increasing segment
 from ``(k−1, l−1)`` to ``(k, l)`` for each +1 cell and the decreasing
 segment from ``(k−1, l)`` to ``(k, l−1)`` for each −1 cell.  Geometric
 membership is decided per gridding by exact rational feasibility of the
-induced strict linear system in one parameter per point.
+induced strict linear system in one parameter per point.  Geometric
+enumeration needs no solver when the matrix has a consistent orientation
+(column and row signs whose products are its nonzero entries): the members
+are then built point by point from gridded drawings.  Other matrices go
+through the layered membership decider.
 """
 from __future__ import annotations
 
@@ -295,8 +299,90 @@ def drawing_coordinates(
     return tuple(out)
 
 
-#: The membership decider of each kind of grid class.
-_DECIDERS = {"monotone": grid_member, "geometric": geom_member}
+def _orientation(m: ZeroPmOneMatrix) -> Optional[tuple]:
+    """A consistent orientation of ``m``: a sign c_k per column and r_l per
+    row with ``entry(k, l) = c_k·r_l`` on every nonzero cell, as the pair
+    ``(column signs, row signs)``, or None when two cells conflict.  Signs
+    spread across the nonzero cells from each column not reached yet; a row
+    with no nonzero cell gets +1.
+
+    >>> _orientation(X_MATRIX)
+    ((1, -1), (1, -1))
+    >>> _orientation(matrix_from_rows_top_first([[1, 1], [1, -1]])) is None
+    True
+    """
+    cells = m.nonzero_cells()
+    col, row = [0] * (m.cols + 1), [0] * (m.rows + 1)
+    for start in range(1, m.cols + 1):
+        if col[start]:
+            continue
+        col[start] = spread = 1
+        while spread:
+            spread = 0
+            for k, l in cells:
+                if col[k] and not row[l]:
+                    row[l], spread = m.entry(k, l) * col[k], 1
+                elif row[l] and not col[k]:
+                    col[k], spread = m.entry(k, l) * row[l], 1
+    if any(col[k] * row[l] != m.entry(k, l) for k, l in cells):
+        return None
+    return tuple(col[1:]), tuple(s or 1 for s in row[1:])
+
+
+def _drawn_members(m: ZeroPmOneMatrix, n: int) -> Optional[set]:
+    """The length-n members of the geometric class of a consistently
+    oriented ``m``, built one point at a time without a solver; None when
+    ``m`` has no consistent orientation.
+
+    With signs c_k, r_l, the segment of cell (k, l) starts on the left edge
+    of column k when c_k = 1 (the right edge when −1) and on the bottom edge
+    of row l when r_l = 1 (the top edge when −1), so a point's distance
+    along it is its distance from both of those edges.  Read the points of
+    a drawing by increasing distance (distinct after a small shift, which
+    keeps the permutation): each lies beyond every earlier point of its
+    column and of its row, at the column's far end and the row's far end.
+    So the members are the permutations built by appending cells one at a
+    time that way (the word encoding of Albert, Atkinson, Bouvel, Ruškuc and
+    Vatter), and what an append gives depends only on the state (perm,
+    column sizes, row sizes), which is deduplicated at each length.  The
+    last length keeps perms only: it has the most states by far (656 343
+    for 4 999 perms on the 3×3 all-ones matrix at n = 7).
+    """
+    signs = _orientation(m)
+    if signs is None:
+        return None
+    col_sign, row_sign = signs
+    # per cell: its column and row, and how many columns and rows lie before
+    # the end of the column and the end of the row the new point joins
+    ends = [
+        (k - 1, k - (col_sign[k - 1] < 0), l - 1, l - (row_sign[l - 1] < 0))
+        for k, l in m.nonzero_cells()
+    ]
+    states = {((), (0,) * m.cols, (0,) * m.rows)}
+    for length in range(1, n + 1):
+        grown = set()
+        for perm, cs, rs in states:
+            col_cut = list(itertools.accumulate(cs, initial=0))
+            row_cut = list(itertools.accumulate(rs, initial=0))
+            for k, before_k, l, before_l in ends:
+                pos, val = col_cut[before_k], row_cut[before_l]
+                lifted = tuple(v + (v > val) for v in perm)
+                drawn = lifted[:pos] + (val + 1,) + lifted[pos:]
+                if length < n:
+                    drawn = (
+                        drawn,
+                        cs[:k] + (cs[k] + 1,) + cs[k + 1:],
+                        rs[:l] + (rs[l] + 1,) + rs[l + 1:],
+                    )
+                grown.add(drawn)
+        states = grown
+    return states if n else {()}
+
+
+#: Each kind of grid class: its membership decider, and a builder of its
+#: length-n members that returns None for a matrix it does not cover (the
+#: decider then filters one-point extensions, layer by layer).
+_DECIDERS = {"monotone": (grid_member, None), "geometric": (geom_member, _drawn_members)}
 GRID_KINDS = tuple(_DECIDERS)
 #: Default length cap of :func:`enumerate_grid`.
 ENUMERATE_GRID_MAX_N = 7
@@ -306,8 +392,10 @@ def enumerate_grid(
     m: ZeroPmOneMatrix, n: int, kind: str, max_n: Optional[int] = None
 ) -> tuple:
     """All length-n members of the monotone or geometric class, sorted.
-    Both classes are closed under deleting points, so they are built layer
-    by layer from one-point extensions of the shorter members.
+    A consistently oriented matrix's geometric class is built from gridded
+    drawings, one point at a time.  Otherwise, as both classes are closed
+    under deleting points, the class is built layer by layer from one-point
+    extensions of the shorter members, each decided by its membership test.
 
     >>> len(enumerate_grid(X_MATRIX, 4, "monotone"))
     22
@@ -317,9 +405,11 @@ def enumerate_grid(
     if kind not in GRID_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {GRID_KINDS}")
     check_size("enumerate_grid", n, ENUMERATE_GRID_MAX_N, max_n)
-    decide = _DECIDERS[kind]
-    for members, _ in _layers(lambda pi: decide(pi, m, max_n=max_n) is not None, n):
-        pass
+    decide, build = _DECIDERS[kind]
+    members = build(m, n) if build else None
+    if members is None:
+        for members, _ in _layers(lambda pi: decide(pi, m, max_n=max_n) is not None, n):
+            pass
     return tuple(sorted(members))
 
 

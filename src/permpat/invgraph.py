@@ -88,10 +88,6 @@ def complete_graph(n: int) -> Graph:
     return graph_from_edges(n, [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)])
 
 
-def edgeless_graph(n: int) -> Graph:
-    return graph_from_edges(n, [])
-
-
 def inversion_graph(pi: Perm, labels=None) -> Graph:
     """Vertices ``1..n`` with an edge ``{i, j}`` whenever positions ``i < j``
     hold an inversion (``pi[i] > pi[j]``).
@@ -161,9 +157,17 @@ def induced_embeds(
     is required to lie below the image's g-label in ``poset`` (identity
     comparison when no poset is given).
     """
+    return _induced_embeds(h, g, _degrees(g), poset)
+
+
+def _induced_embeds(
+    h: Graph, g: Graph, gdeg: list, poset: Optional[FinitePoset] = None
+) -> Optional[tuple]:
+    """:func:`induced_embeds` with ``g``'s degree list ``gdeg`` given, so a
+    caller embedding many graphs in one ``g`` computes it once."""
     if h.n > g.n:
         return None
-    hdeg, gdeg = _degrees(h), _degrees(g)
+    hdeg = _degrees(h)
     use_labels = h.labels is not None and g.labels is not None
     leq = operator.eq if poset is None else poset.leq
 
@@ -368,7 +372,10 @@ def preimages(g: Graph, n: int, max_n: Optional[int] = None) -> set:
     # A point deletion of pi deletes a vertex of its inversion graph, so the
     # permutations whose graph embeds in g are downward closed; at length
     # g.n an induced embedding is an isomorphism.
-    for members, _ in _layers(lambda pi: induced_embeds(inversion_graph(pi), g) is not None, n):
+    gdeg = _degrees(g)
+    for members, _ in _layers(
+        lambda pi: _induced_embeds(inversion_graph(pi), g, gdeg) is not None, n
+    ):
         pass
     return members
 

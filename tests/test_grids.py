@@ -1,6 +1,7 @@
 """Tests for gridded permutations: 0/±1 matrices, cell graphs, monotone and
 geometric grid classes, drawings, and griddability evidence."""
 
+import itertools
 import tracemalloc
 
 import pytest
@@ -28,6 +29,7 @@ from permpat import (
     minimal_nonmembers,
     validate_gridded,
 )
+from permpat.feasibility import solve_strict
 from permpat.perm import all_perms
 
 
@@ -245,8 +247,12 @@ class TestMonotoneGridding:
 
 class TestGeometricGridding:
     def test_counts(self):
-        got = [len(enumerate_grid(X_MATRIX, n, "geometric")) for n in range(1, 7)]
-        assert got == [1, 2, 6, 20, 68, 232]
+        got = [len(enumerate_grid(X_MATRIX, n, "geometric")) for n in range(1, 8)]
+        assert got == [1, 2, 6, 20, 68, 232, 792]
+        # the recurrence the rational generating function of the word
+        # encoding predicts
+        for n in (6, 7):
+            assert got[n - 1] == 4 * got[n - 2] - 2 * got[n - 3]
 
     def test_difference_at_four(self):
         mono = set(enumerate_grid(X_MATRIX, 4, "monotone"))
@@ -375,12 +381,31 @@ def sweep_grid(m, n, kind):
     return tuple(pi for pi in all_perms(n) if decide(pi, m) is not None)
 
 
+#: The 2×3 and 3×2 matrices of the benchmark's ``geometric`` workload.
+WORKLOAD_ROWS = [
+    [[1, 0, -1], [0, 1, 1]],
+    [[-1, 1, 0], [0, -1, 1]],
+    [[1, -1], [0, 1], [1, 0]],
+    [[0, -1], [1, 1], [-1, 0]],
+]
+
+
 class TestLayersAgainstSweep:
     @pytest.mark.parametrize("kind", grids.GRID_KINDS)
     def test_every_matrix_up_to_two_by_two(self, kind):
         for m in all_matrices(2, 2):
-            for n in range(5):
+            for n in range(6):
                 assert enumerate_grid(m, n, kind) == sweep_grid(m, n, kind), (m, n)
+
+    @pytest.mark.parametrize("rows", WORKLOAD_ROWS)
+    def test_workload_matrices_at_six(self, rows):
+        m = matrix_from_rows_top_first(rows)
+        assert enumerate_grid(m, 6, "geometric") == sweep_grid(m, 6, "geometric")
+
+    def test_non_orientable_matrix_at_six(self):
+        m = matrix_from_rows_top_first([[1, 1], [1, -1]])
+        assert grids._orientation(m) is None
+        assert enumerate_grid(m, 6, "geometric") == sweep_grid(m, 6, "geometric")
 
     @pytest.mark.parametrize("kind", grids.GRID_KINDS)
     @pytest.mark.parametrize(
@@ -390,6 +415,54 @@ class TestLayersAgainstSweep:
     def test_larger_matrices_at_five(self, kind, rows):
         m = matrix_from_rows_top_first(rows)
         assert enumerate_grid(m, 5, kind) == sweep_grid(m, 5, kind)
+
+
+def orientation_by_search(m):
+    """Oracle: whether some column and row signs multiply to every nonzero
+    entry, trying all of them."""
+    cells = m.nonzero_cells()
+    return any(
+        all(c[k - 1] * r[l - 1] == m.entry(k, l) for k, l in cells)
+        for c in itertools.product((1, -1), repeat=m.cols)
+        for r in itertools.product((1, -1), repeat=m.rows)
+    )
+
+
+class TestOrientation:
+    def test_signs_multiply_to_every_nonzero_entry(self):
+        oriented = 0
+        for m in all_matrices(3, 3):
+            signs = grids._orientation(m)
+            if signs is None:
+                continue
+            c, r = signs
+            assert len(c) == m.cols and len(r) == m.rows, m
+            assert set(c) | set(r) <= {1, -1}, m
+            assert all(c[k - 1] * r[l - 1] == m.entry(k, l) for k, l in m.nonzero_cells()), m
+            oriented += 1
+        assert oriented > 0
+
+    def test_none_exactly_when_no_signs_exist(self):
+        for m in all_matrices(3, 2):
+            assert (grids._orientation(m) is not None) == orientation_by_search(m), m
+        # of the 102 matrices up to 2×2, the eight full 2×2 ones with an odd
+        # number of −1 entries have no consistent orientation
+        refused = [m for m in all_matrices(2, 2) if grids._orientation(m) is None]
+        assert len(refused) == 8
+
+    def test_no_solver_for_an_oriented_matrix(self, monkeypatch):
+        calls = []
+
+        def counting(nvars, rows):
+            calls.append(nvars)
+            return solve_strict(nvars, rows)
+
+        monkeypatch.setattr(grids, "solve_strict", counting)
+        assert len(enumerate_grid(X_MATRIX, 5, "geometric")) == 68
+        assert calls == []
+        # a matrix with no consistent orientation stays on the decider
+        enumerate_grid(matrix_from_rows_top_first([[1, 1], [1, -1]]), 5, "geometric")
+        assert calls
 
 
 def four_branch_system(gp, m):
