@@ -185,14 +185,16 @@ def minimal_nonmembers(
 def union_basis(c: PermClass, d: PermClass) -> PermClass:
     """The exact basis of C ∪ D, found by searching every length up to the
     sum of the two maximum basis lengths (no longer minimal nonmember can
-    exist, since one must merge a basis element of each class).
+    exist, since one must merge a basis element of each class).  The search
+    runs under the fixed cap of :func:`minimal_nonmembers`, so a bound above
+    9 is refused before any layer is built.
 
     >>> union_basis(avoiding((1, 2)), avoiding((2, 1))).basis
     ((1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2))
     """
     bound = c.max_basis_length() + d.max_basis_length()
     oracle = lambda pi: c.member(pi) or d.member(pi)
-    return PermClass(_minimal_nonmembers_unbounded(oracle, bound))
+    return PermClass(minimal_nonmembers(oracle, bound))
 
 
 def plus_one_member(pi: Perm, c: PermClass) -> bool:

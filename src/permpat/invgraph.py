@@ -109,42 +109,51 @@ def inversion_graph(pi: Perm, labels=None) -> Graph:
 # embedding, isomorphism, automorphisms
 
 
-def _backtrack(a: Graph, b: Graph, adeg: list, fits: Callable, found: Callable) -> None:
-    """Map the vertices of ``a`` one at a time, in decreasing order of their
-    degrees ``adeg``, to distinct vertices of ``b`` so that edges and
-    non-edges among the mapped vertices are kept.  A pair ``(av, bv)`` is
-    tried only when ``fits(av, bv)`` holds; each complete map (1-based
-    tuple: image of each a-vertex) is passed to ``found``, and the search
-    stops once that returns true."""
-    order = sorted(range(1, a.n + 1), key=adeg.__getitem__, reverse=True)
-    mapping = {}
-    used = set()
+def _adjacency(g: Graph) -> list:
+    """Neighbour bitmask of each vertex, indexed by vertex (entry 0 unused):
+    bit ``v`` of entry ``u`` is set when ``{u, v}`` is an edge."""
+    adj = [0] * (g.n + 1)
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
 
-    def extend(idx: int) -> bool:
+
+def _backtrack(a: Graph, b: Graph, fits: Callable, found: Callable) -> None:
+    """Map the vertices of ``a`` one at a time, in decreasing order of
+    degree, to distinct vertices of ``b`` so that edges and non-edges among
+    the mapped vertices are kept.  A pair ``(av, bv)`` is tried only when
+    ``fits(av, bv, deg_a(av), deg_b(bv))`` holds; each complete map
+    (1-based tuple: image of each a-vertex) is passed to ``found``, and the
+    search stops once that returns true.
+
+    The pair is consistent when bv's neighbours among the used b-vertices
+    are exactly the images of av's neighbours among the mapped a-vertices:
+    one comparison of neighbour masks."""
+    aadj, badj = _adjacency(a), _adjacency(b)
+    adeg = [m.bit_count() for m in aadj]
+    order = sorted(range(1, a.n + 1), key=adeg.__getitem__, reverse=True)
+    earlier = [[w for w in order[:i] if aadj[v] >> w & 1] for i, v in enumerate(order)]
+    candidates = [
+        [bv for bv in range(1, b.n + 1) if fits(av, bv, adeg[av], badj[bv].bit_count())]
+        for av in order
+    ]
+    image = [0] * (a.n + 1)
+
+    def extend(idx: int, used: int) -> bool:
         if idx == len(order):
-            return found(tuple(mapping[v] for v in range(1, a.n + 1)))
-        av = order[idx]
-        for bv in range(1, b.n + 1):
-            if bv in used or not fits(av, bv):
-                continue
-            if all(
-                a.has_edge(av, prev_a) == b.has_edge(bv, prev_b)
-                for prev_a, prev_b in mapping.items()
-            ):
-                mapping[av] = bv
-                used.add(bv)
-                if extend(idx + 1):
+            return found(tuple(image[1:]))
+        want = 0
+        for w in earlier[idx]:
+            want |= 1 << image[w]
+        for bv in candidates[idx]:
+            if not used >> bv & 1 and badj[bv] & used == want:
+                image[order[idx]] = bv
+                if extend(idx + 1, used | 1 << bv):
                     return True
-                del mapping[av]
-                used.remove(bv)
         return False
 
-    extend(0)
-
-
-def _degrees(g: Graph) -> list:
-    """Degree of each vertex, indexed by vertex (entry 0 unused)."""
-    return [0] + [g.degree(v) for v in range(1, g.n + 1)]
+    extend(0, 0)
 
 
 def induced_embeds(
@@ -157,27 +166,16 @@ def induced_embeds(
     is required to lie below the image's g-label in ``poset`` (identity
     comparison when no poset is given).
     """
-    return _induced_embeds(h, g, _degrees(g), poset)
-
-
-def _induced_embeds(
-    h: Graph, g: Graph, gdeg: list, poset: Optional[FinitePoset] = None
-) -> Optional[tuple]:
-    """:func:`induced_embeds` with ``g``'s degree list ``gdeg`` given, so a
-    caller embedding many graphs in one ``g`` computes it once."""
     if h.n > g.n:
         return None
-    hdeg = _degrees(h)
     use_labels = h.labels is not None and g.labels is not None
     leq = operator.eq if poset is None else poset.leq
 
-    def fits(hv: int, gv: int) -> bool:
-        return gdeg[gv] >= hdeg[hv] and (
-            not use_labels or leq(h.labels[hv - 1], g.labels[gv - 1])
-        )
+    def fits(hv: int, gv: int, hd: int, gd: int) -> bool:
+        return gd >= hd and (not use_labels or leq(h.labels[hv - 1], g.labels[gv - 1]))
 
     maps = []
-    _backtrack(h, g, hdeg, fits, lambda m: maps.append(m) or True)
+    _backtrack(h, g, fits, lambda m: maps.append(m) or True)
     return maps[0] if maps else None
 
 
@@ -186,18 +184,13 @@ def _isomorphisms(g: Graph, h: Graph, first: bool) -> list:
     only the first one found when ``first`` is set."""
     if g.n != h.n or len(g.edges) != len(h.edges):
         return []
-    gdeg, hdeg = _degrees(g), _degrees(h)
-    if sorted(gdeg) != sorted(hdeg):  # degree sequences
-        return []
     use_labels = g.labels is not None and h.labels is not None
 
-    def fits(gv: int, hv: int) -> bool:
-        return hdeg[hv] == gdeg[gv] and (
-            not use_labels or g.labels[gv - 1] == h.labels[hv - 1]
-        )
+    def fits(gv: int, hv: int, gd: int, hd: int) -> bool:
+        return gd == hd and (not use_labels or g.labels[gv - 1] == h.labels[hv - 1])
 
     maps = []
-    _backtrack(g, h, gdeg, fits, lambda m: maps.append(m) or first)
+    _backtrack(g, h, fits, lambda m: maps.append(m) or first)
     return maps
 
 
@@ -300,34 +293,29 @@ def is_cycle(g: Graph) -> bool:
 def is_cograph(g: Graph) -> bool:
     """True iff no 4 vertices induce a path (P4-freeness).  Of the graphs on
     four vertices only P4 has degree sequence (1, 1, 2, 2)."""
-    adj = [[g.has_edge(u, v) for v in range(g.n + 1)] for u in range(g.n + 1)]
+    adj = _adjacency(g)
     for quad in itertools.combinations(range(1, g.n + 1), 4):
-        if sorted(sum(adj[u][v] for v in quad) for u in quad) == [1, 1, 2, 2]:
+        mask = sum(1 << v for v in quad)
+        if sorted((adj[v] & mask).bit_count() for v in quad) == [1, 1, 2, 2]:
             return False
     return True
 
 
-def _smallest_module_containing(g: Graph, u: int, v: int) -> set:
-    """Grow {u, v} until no outside vertex distinguishes the set."""
-    block = {u, v}
-    changed = True
-    while changed:
-        changed = False
-        for w in range(1, g.n + 1):
-            if w in block:
-                continue
-            links = {g.has_edge(w, x) for x in block}
-            if len(links) > 1:
-                block.add(w)
-                changed = True
-    return block
-
-
 def is_prime(g: Graph) -> bool:
     """True iff the graph has no module ``X`` with ``1 < |X| < n`` (a vertex
-    set every outside vertex attaches to uniformly)."""
+    set every outside vertex attaches to uniformly).  Each pair's smallest
+    module is grown as a mask: an outside vertex ``w`` splits the block when
+    its neighbours in it are neither none nor all of it."""
+    adj = _adjacency(g)
+    every = (1 << g.n + 1) - 2
     for u, v in itertools.combinations(range(1, g.n + 1), 2):
-        if len(_smallest_module_containing(g, u, v)) < g.n:
+        block = grown = 1 << u | 1 << v
+        while grown:
+            grown = ~block & sum(
+                1 << w for w in range(1, g.n + 1) if adj[w] & block not in (0, block)
+            )
+            block |= grown
+        if block != every:
             return False
     return True
 
@@ -372,9 +360,8 @@ def preimages(g: Graph, n: int, max_n: Optional[int] = None) -> set:
     # A point deletion of pi deletes a vertex of its inversion graph, so the
     # permutations whose graph embeds in g are downward closed; at length
     # g.n an induced embedding is an isomorphism.
-    gdeg = _degrees(g)
     for members, _ in _layers(
-        lambda pi: _induced_embeds(inversion_graph(pi), g, gdeg) is not None, n
+        lambda pi: induced_embeds(inversion_graph(pi), g) is not None, n
     ):
         pass
     return members

@@ -125,20 +125,6 @@ HOLLOW = "o"
 FILLED = "*"
 
 
-def product_leq(a: Sequence, b: Sequence, posets: Sequence[FinitePoset]) -> bool:
-    """Componentwise comparison of equal-arity tuples over given posets.
-
-    >>> chain = FinitePoset.chain((1, 2, 3))
-    >>> product_leq((1, 2), (2, 2), [chain, chain])
-    True
-    >>> product_leq((1, 3), (2, 1), [chain, chain])
-    False
-    """
-    if not len(a) == len(b) == len(posets):
-        raise ValueError("product comparison needs equal arities")
-    return all(p.leq(x, y) for x, y, p in zip(a, b, posets))
-
-
 def _label_from_json(value):
     """A decoded JSON value as a label: arrays become tuples, recursively,
     since labels and poset elements are compared and looked up by hash."""

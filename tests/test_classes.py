@@ -133,6 +133,15 @@ class TestUnionBasis:
                 expected = avoiding((1, 2)).member(pi) or avoiding((2, 1)).member(pi)
                 assert u.member(pi) == expected
 
+    def test_guard_fires_before_any_layer(self, monkeypatch):
+        def no_layers(*args):
+            raise AssertionError("a layer was built")
+
+        monkeypatch.setattr(cl, "_layers", no_layers)
+        with pytest.raises(SizeGuardError) as info:
+            union_basis(avoiding((1, 2, 3, 4, 5)), avoiding((5, 4, 3, 2, 1)))
+        assert (info.value.actual, info.value.limit) == (10, 9)
+
 
 class TestPlusOne:
     def test_plus_one_member_definition(self):

@@ -3,6 +3,7 @@ predicates, primality, and permutation preimages."""
 import functools
 import itertools
 import json
+import operator
 import random
 
 import pytest
@@ -212,6 +213,126 @@ class TestSearchAgainstPermutations:
                 assert first is None or first in expected, (g, h, first)
 
 
+def edge_backtrack(a, b, fits, found):
+    """The backtracker the neighbour-mask search replaced: one ``has_edge``
+    pair per mapped vertex for each candidate, and degrees from
+    ``Graph.degree``.  Same vertex order and candidate order."""
+    adeg = [0] + [a.degree(v) for v in range(1, a.n + 1)]
+    bdeg = [0] + [b.degree(v) for v in range(1, b.n + 1)]
+    order = sorted(range(1, a.n + 1), key=adeg.__getitem__, reverse=True)
+    mapping = {}
+
+    def extend(idx):
+        if idx == len(order):
+            return found(tuple(mapping[v] for v in range(1, a.n + 1)))
+        av = order[idx]
+        for bv in range(1, b.n + 1):
+            if bv in mapping.values() or not fits(av, bv, adeg[av], bdeg[bv]):
+                continue
+            if all(a.has_edge(av, pa) == b.has_edge(bv, pb) for pa, pb in mapping.items()):
+                mapping[av] = bv
+                if extend(idx + 1):
+                    return True
+                del mapping[av]
+        return False
+
+    extend(0)
+
+
+def edge_induced_embeds(h, g, poset=None):
+    if h.n > g.n:
+        return None
+    use_labels = h.labels is not None and g.labels is not None
+    leq = operator.eq if poset is None else poset.leq
+    maps = []
+    edge_backtrack(
+        h,
+        g,
+        lambda hv, gv, hd, gd: gd >= hd
+        and (not use_labels or leq(h.label(hv), g.label(gv))),
+        lambda m: maps.append(m) or True,
+    )
+    return maps[0] if maps else None
+
+
+def edge_all_isomorphisms(g, h):
+    if g.n != h.n or len(g.edges) != len(h.edges):
+        return []
+    use_labels = g.labels is not None and h.labels is not None
+    maps = []
+    edge_backtrack(
+        g,
+        h,
+        lambda gv, hv, gd, hd: gd == hd and (not use_labels or g.label(gv) == h.label(hv)),
+        lambda m: maps.append(m) or False,
+    )
+    return maps
+
+
+def relabeled(g, rng):
+    """``g`` with its vertices renamed by a seeded permutation."""
+    image = list(range(1, g.n + 1))
+    rng.shuffle(image)
+    labels = None
+    if g.labels is not None:
+        labels = tuple(g.labels[image.index(v)] for v in range(1, g.n + 1))
+    return Graph(g.n, frozenset((image[u - 1], image[v - 1]) for u, v in g.edges), labels)
+
+
+@functools.lru_cache(maxsize=None)
+def non_inversion_graphs():
+    """Seeded random graphs on 6-8 vertices that are the inversion graph of
+    no permutation (``preimages`` is empty)."""
+    rng = random.Random(6271)
+    out = []
+    while len(out) < 30:
+        g = random_graph(rng, rng.randint(6, 8))
+        if not preimages(g, g.n):
+            out.append(g)
+    return tuple(out)
+
+
+def seeded_non_inversion_graphs(labeled):
+    """:func:`non_inversion_graphs`, with seeded labels from ``LABEL_CHAIN``
+    when ``labeled`` is set."""
+    rng = random.Random(1187)
+    return [
+        Graph(g.n, g.edges, tuple(rng.choice(LABEL_CHAIN.elements) for _ in range(g.n)))
+        if labeled
+        else g
+        for g in non_inversion_graphs()
+    ]
+
+
+class TestMaskSearchAgainstEdgeBacktracker:
+    """The neighbour-mask backtracker keeps the search order of the
+    ``has_edge`` one, so every first map and every list of maps is the same,
+    also on graphs that no permutation produces."""
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_first_induced_embedding(self, labeled):
+        rng = random.Random(3319)
+        graphs = seeded_non_inversion_graphs(labeled)
+        found = 0
+        for g in graphs:
+            for h in (rng.choice(graphs), g.induced(tuple(rng.sample(range(1, g.n + 1), 5)))):
+                for poset in (None, LABEL_CHAIN):
+                    w = induced_embeds(h, g, poset)
+                    assert w == edge_induced_embeds(h, g, poset), (h, g, poset)
+                    found += w is not None
+        assert found > 0
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_isomorphism_lists_and_automorphisms(self, labeled):
+        rng = random.Random(8802)
+        for g in seeded_non_inversion_graphs(labeled):
+            h = relabeled(g, rng)
+            maps = all_isomorphisms(g, h)
+            assert maps and maps == edge_all_isomorphisms(g, h), (g, h)
+            assert find_isomorphism(g, h) == maps[0]
+            assert automorphisms(g) == edge_all_isomorphisms(g, g), g
+
+
 class TestStructuralPredicates:
     def test_connectivity(self):
         assert is_connected(inversion_graph((2, 4, 1, 3)))
@@ -274,6 +395,23 @@ class TestCographAgainstSubgraphs:
         assert verdicts == {False, True}
 
 
+def module_growth_prime(g):
+    """The ``is_prime`` the mask version replaced: grow each pair into its
+    smallest module one ``has_edge`` set at a time."""
+    for u, v in itertools.combinations(range(1, g.n + 1), 2):
+        block = {u, v}
+        changed = True
+        while changed:
+            changed = False
+            for w in range(1, g.n + 1):
+                if w not in block and len({g.has_edge(w, x) for x in block}) > 1:
+                    block.add(w)
+                    changed = True
+        if len(block) < g.n:
+            return False
+    return True
+
+
 class TestPrimality:
     def test_conventions(self):
         assert is_prime(Graph(0, frozenset()))
@@ -290,6 +428,16 @@ class TestPrimality:
             for bits in itertools.product((False, True), repeat=len(pairs)):
                 g = Graph(n, frozenset(e for e, keep in zip(pairs, bits) if keep))
                 assert is_prime(g) == brute_force_prime(g), g
+
+    def test_seeded_graphs_of_six_and_seven_vertices(self):
+        rng = random.Random(5521)
+        verdicts = set()
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(6, 7))
+            verdict = is_prime(g)
+            assert verdict == brute_force_prime(g) == module_growth_prime(g), g
+            verdicts.add(verdict)
+        assert verdicts == {False, True}
 
     def test_prime_iff_simple_for_inversion_graphs(self):
         for n in range(2, 7):
