@@ -19,7 +19,6 @@ from .perm import (
     components,
     contains,
     decompose_tree,
-    delete_entry,
     is_simple,
     one_point_deletions,
     patterns_of_length,
@@ -73,19 +72,47 @@ def avoiding(*basis: Perm, name: Optional[str] = None) -> PermClass:
     return PermClass(tuple(basis), name)
 
 
+#: ``_DROP[g]`` lowers every byte above ``g`` by one, so translating a
+#: packed permutation by it reduces what is left after the value g is cut.
+_BYTES = bytes(range(256))
+_DROP = [_BYTES[: g + 1] + _BYTES[g:255] for g in range(256)]
+#: The longest permutation that packs into bytes, one value per byte.
+PACKED_MAX_N = 255
+
+
+def check_packed(n: int) -> None:
+    """Refuse a length above :data:`PACKED_MAX_N` with a plain ValueError."""
+    if n > PACKED_MAX_N:
+        raise ValueError(
+            f"length {n} is above {PACKED_MAX_N}: the layer generator packs "
+            f"one value per byte"
+        )
+
+
+def _delete(p: bytes, j: int) -> bytes:
+    """The packed one-point deletion of the entry at 0-based position ``j``."""
+    return (p[:j] + p[j + 1 :]).translate(_DROP[p[j]])
+
+
 def _layers(
-    oracle: Callable[[Perm], bool], nmax: int, probes: Optional[int] = None
+    oracle: Callable[[bytes], bool], nmax: int, probes: Optional[int] = None
 ) -> Iterator[tuple]:
     """Yield ``(members, minimal_nonmembers)`` of a downward-closed set, as
-    two sets, for each length 0..nmax in turn.
+    two lists, for each length 0..nmax in turn.
+
+    Permutations are packed: ``bytes`` whose entry i is the value at
+    position i, so a layer is sorted by memcmp and a deletion is two slices
+    and a :data:`_DROP` translation.  ``oracle`` receives packed
+    permutations, and a length above :data:`PACKED_MAX_N` is refused before
+    any layer is built.
 
     A length-n candidate is a length-(n-1) member with the value n inserted
     at one position; deleting its maximum gives back that parent, so every
-    permutation is a candidate at most once.  A candidate is rejected as
-    soon as a probed one-point deletion is missing from the previous layer,
-    and only a survivor is put to ``oracle``.  With ``probes=None`` every
-    deletion is probed, so a survivor the oracle refuses is exactly a
-    minimal nonmember.
+    permutation is a candidate at most once and the lists hold no repeats.
+    A candidate is rejected as soon as a probed one-point deletion is
+    missing from the previous layer, and only a survivor is put to
+    ``oracle``.  With ``probes=None`` every deletion is probed, so a
+    survivor the oracle refuses is exactly a minimal nonmember.
 
     For a class with basis elements of length at most k, probing k
     deletions (other than the inserted point) is already exact with the
@@ -98,29 +125,32 @@ def _layers(
     The previous layer is probed through an index, not built deletion by
     deletion: ``index[parent]`` has bit ``pos`` set when inserting the
     maximum at ``pos`` into ``parent`` gave a member, so it describes the
-    layer exactly and is keyed by tuples that exist anyway.  Deleting the
-    maximum leaves the parent's entries in order, so the first k entries of
-    a candidate other than its maximum are parent entries 1..k wherever the
-    maximum sits.  Deleting parent entry j from the candidate with the
-    maximum at ``pos`` gives ``delete_entry(parent, j)`` with the maximum at
-    ``pos - 1`` when ``j <= pos`` and at ``pos`` otherwise.  So each parent
-    needs k deletions, one lookup each, and the positions that survive
-    probe j are those of ``m`` below bit j and of ``m << 1`` from bit j up,
-    where ``m`` is the index entry of that deletion.  Survivors go to the
-    oracle in ascending position order.
+    layer exactly and is keyed by the packed parents that exist anyway.
+    Deleting the maximum leaves the parent's entries in order, so the first
+    k entries of a candidate other than its maximum are parent entries 1..k
+    wherever the maximum sits.  Deleting parent entry j from the candidate
+    with the maximum at ``pos`` gives ``delete_entry(parent, j)`` with the
+    maximum at ``pos - 1`` when ``j <= pos`` and at ``pos`` otherwise.  So
+    each parent needs k deletions, one lookup each, and the positions that
+    survive probe j are those of ``m`` below bit j and of ``m << 1`` from
+    bit j up, where ``m`` is the index entry of that deletion.  Parents are
+    taken in the order they were found, and survivors go to the oracle in
+    ascending position order.
     """
-    members = {()} if oracle(()) else set()
-    yield members, (set() if members else {()})
+    check_packed(nmax)
+    members = [b""] if oracle(b"") else []
+    yield members, ([] if members else [b""])
     index = {}
     for n in range(1, nmax + 1):
         others = n - 1 if probes is None else min(probes, n - 1)
         lows = [(1 << j) - 1 for j in range(1, others + 1)]
+        top = bytes((n,))
         prev, prev_index = members, index
-        members, nonmembers, index = set(), set(), {}
+        members, nonmembers, index = [], [], {}
         for parent in prev:
             free = (1 << n) - 1
-            for j, low in enumerate(lows, 1):
-                m = prev_index.get(delete_entry(parent, j), 0)
+            for j, low in enumerate(lows):
+                m = prev_index.get(_delete(parent, j), 0)
                 free &= (m & low) | (m << 1 & ~low)
                 if not free:
                     break
@@ -129,20 +159,47 @@ def _layers(
                 bit = free & -free
                 free ^= bit
                 pos = bit.bit_length() - 1
-                pi = parent[:pos] + (n,) + parent[pos:]
+                pi = top.join((parent[:pos], parent[pos:]))
                 if oracle(pi):
-                    members.add(pi)
+                    members.append(pi)
                     kept |= bit
                 else:
-                    nonmembers.add(pi)
+                    nonmembers.append(pi)
             if kept:
                 index[parent] = kept
         yield members, nonmembers
 
 
+def _tuple_layers(oracle: Callable[[Perm], bool], nmax: int) -> Iterator[tuple]:
+    """:func:`_layers` for an oracle on tuples, with every deletion probed:
+    yields each length's members and minimal nonmembers as iterators of
+    tuples, which convert only what is read."""
+    for members, nonmembers in _layers(lambda p: oracle(tuple(p)), nmax):
+        yield map(tuple, members), map(tuple, nonmembers)
+
+
 def _class_layers(c: PermClass, nmax: int) -> Iterator[tuple]:
     """:func:`_layers` of a finitely based class, with no containment test."""
-    return _layers(lambda pi: pi not in c.basis, nmax, c.max_basis_length())
+    basis = {bytes(b) for b in c.basis}
+    return _layers(lambda p: p not in basis, nmax, c.max_basis_length())
+
+
+def _class_sets(c: PermClass, nmax: int) -> list:
+    """C's packed members of each length 0..nmax, one set per length."""
+    return [set(members) for members, _ in _class_layers(c, nmax)]
+
+
+def _basis_class(oracle: Callable[[bytes], bool], nmax: int) -> PermClass:
+    """The class whose basis is the minimal nonmembers of a downward-closed
+    packed oracle, lengths 0..nmax.  Minimal nonmembers are pairwise
+    incomparable, so the basis is stored as found, sorted, with none of the
+    containment tests that :class:`PermClass` runs to minimalize a basis."""
+    found = [p for _, nonmembers in _layers(oracle, nmax) for p in nonmembers]
+    found.sort(key=lambda p: (len(p), p))
+    c = object.__new__(PermClass)
+    object.__setattr__(c, "basis", tuple(map(tuple, found)))
+    object.__setattr__(c, "name", None)
+    return c
 
 
 #: Default length cap of :func:`enumerate_members`.
@@ -158,15 +215,8 @@ def enumerate_members(c: PermClass, n: int, max_n: Optional[int] = None) -> tupl
     check_size("enumerate", n, ENUMERATE_MAX_N, max_n)
     for members, _ in _class_layers(c, n):
         pass
-    return tuple(sorted(members))
-
-
-def _minimal_nonmembers_unbounded(
-    oracle: Callable[[Perm], bool], nmax: int
-) -> tuple:
-    """Minimal nonmembers of a downward-closed oracle, lengths 0..nmax."""
-    found = [pi for _, nonmembers in _layers(oracle, nmax) for pi in nonmembers]
-    return tuple(sorted(found, key=_perm_sort_key))
+    members.sort()
+    return tuple(map(tuple, members))
 
 
 def minimal_nonmembers(
@@ -179,7 +229,8 @@ def minimal_nonmembers(
     ((2, 1),)
     """
     check_size("minimal_nonmembers", nmax, 9, max_n)
-    return _minimal_nonmembers_unbounded(oracle, nmax)
+    found = [pi for _, nonmembers in _tuple_layers(oracle, nmax) for pi in nonmembers]
+    return tuple(sorted(found, key=_perm_sort_key))
 
 
 def union_basis(c: PermClass, d: PermClass) -> PermClass:
@@ -187,14 +238,18 @@ def union_basis(c: PermClass, d: PermClass) -> PermClass:
     sum of the two maximum basis lengths (no longer minimal nonmember can
     exist, since one must merge a basis element of each class).  The search
     runs under the fixed cap of :func:`minimal_nonmembers`, so a bound above
-    9 is refused before any layer is built.
+    9 is refused before any layer is built.  C's and D's members come from
+    their own layers, so π ∈ C ∪ D is two set lookups and no containment
+    test is run.
 
     >>> union_basis(avoiding((1, 2)), avoiding((2, 1))).basis
     ((1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2))
     """
     bound = c.max_basis_length() + d.max_basis_length()
-    oracle = lambda pi: c.member(pi) or d.member(pi)
-    return PermClass(minimal_nonmembers(oracle, bound))
+    check_size("minimal_nonmembers", bound, 9)
+    cs, ds = _class_sets(c, bound), _class_sets(d, bound)
+    oracle = lambda p: p in cs[len(p)] or p in ds[len(p)]
+    return _basis_class(oracle, bound)
 
 
 def plus_one_member(pi: Perm, c: PermClass) -> bool:
@@ -228,7 +283,9 @@ def plus_one_basis(
     Searching every length up to m(m+1), where m is C's maximum basis
     length, is provably exhaustive, so the result is exact when the search
     reaches that bound; a smaller explicit ``cap`` yields evidence only
-    (``exact=False``).
+    (``exact=False``).  C's members come from its own layers, so π is in
+    the extension when some one-point deletion of it is in that set, as in
+    :func:`plus_one_member` but with no containment test.
 
     >>> r = plus_one_basis(avoiding((1, 2)))
     >>> (r.searched_to, r.exact)
@@ -243,8 +300,15 @@ def plus_one_basis(
     else:
         searched_to, exact = bound, True
     check_size("plus_one_basis", searched_to, 9, max_n)
-    found = _minimal_nonmembers_unbounded(lambda p: plus_one_member(p, c), searched_to)
-    return PlusOneBasisResult(PermClass(found), searched_to, exact)
+    cs = _class_sets(c, max(searched_to - 1, 0))
+
+    def oracle(p: bytes) -> bool:
+        if not p:
+            return True
+        shorter = cs[len(p) - 1]
+        return any(_delete(p, j) in shorter for j in range(len(p)))
+
+    return PlusOneBasisResult(_basis_class(oracle, searched_to), searched_to, exact)
 
 
 def _component_closure(pi: Perm, c: PermClass, direction: str) -> bool:
@@ -352,8 +416,8 @@ def simples_in_class(
     out = [
         pi
         for members, _ in _class_layers(c, nmax)
-        for pi in members
-        if len(pi) >= 2 and is_simple(pi)
+        for pi in map(tuple, members)
+        if is_simple(pi)
     ]
     return tuple(sorted(out, key=_perm_sort_key))
 

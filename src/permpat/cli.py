@@ -168,10 +168,15 @@ def _do_member(args) -> Outcome:
     return (0 if verdict else 1), [str(verdict).lower()], {"member": verdict}
 
 
-def _counts_by_length(members_of, args, what: str, cap: int) -> Tuple[List[str], dict]:
+def _counts_by_length(
+    members_of, args, what: str, cap: int, packed: bool = False
+) -> Tuple[List[str], dict]:
     """Count (and with ``--members`` list) ``members_of(n)`` for n = 1..N,
-    refusing an N above the size cap before any length is enumerated."""
+    refusing an N above the size cap, or above the layer generator's byte
+    width when ``packed``, before any length is enumerated."""
     check_size(what, args.n, cap, args.max_n)
+    if packed:
+        cl.check_packed(args.n)
     lines = ["length,count"]
     out = {"counts": {}}
     if args.members:
@@ -190,7 +195,7 @@ def _do_enumerate(args) -> Outcome:
     c = _class_from_flag(args)
     lines, out = _counts_by_length(
         lambda n: cl.enumerate_members(c, n, max_n=args.max_n),
-        args, "enumerate", cl.ENUMERATE_MAX_N,
+        args, "enumerate", cl.ENUMERATE_MAX_N, packed=True,
     )
     return 0, lines, out
 

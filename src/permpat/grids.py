@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .classes import PermClass, _layers
+from .classes import PermClass, _tuple_layers
 from .feasibility import check_strict, solve_strict
 from .guards import check_size
 from .invgraph import Graph
@@ -408,7 +408,7 @@ def enumerate_grid(
     decide, build = _DECIDERS[kind]
     members = build(m, n) if build else None
     if members is None:
-        for members, _ in _layers(lambda pi: decide(pi, m, max_n=max_n) is not None, n):
+        for members, _ in _tuple_layers(lambda pi: decide(pi, m, max_n=max_n) is not None, n):
             pass
     return tuple(sorted(members))
 

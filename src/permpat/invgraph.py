@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .classes import _layers
+from .classes import _tuple_layers
 from .guards import check_size
 from .labels import FinitePoset, _label_from_json
 from .perm import SYMMETRY_NAMES, Perm, _move_points
@@ -360,11 +360,11 @@ def preimages(g: Graph, n: int, max_n: Optional[int] = None) -> set:
     # A point deletion of pi deletes a vertex of its inversion graph, so the
     # permutations whose graph embeds in g are downward closed; at length
     # g.n an induced embedding is an isomorphism.
-    for members, _ in _layers(
+    for members, _ in _tuple_layers(
         lambda pi: induced_embeds(inversion_graph(pi), g) is not None, n
     ):
         pass
-    return members
+    return set(members)
 
 
 def symmetry_automorphism_maps(sigma: Perm) -> dict:

@@ -1,5 +1,6 @@
 """Class algebra: avoidance classes, basis search, the one-point extension,
 closure operators, and class-level enumeration."""
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from permpat import classes as cl
 from permpat import (
     PermClass,
     SizeGuardError,
+    X_MATRIX,
     all_perms,
     avoiding,
     class_from_json,
@@ -17,14 +19,18 @@ from permpat import (
     contains,
     delete_entry,
     downward_closure,
+    enumerate_grid,
     enumerate_members,
     increasing_oscillations,
     is_simple,
+    matrix_from_rows_top_first,
     minimal_nonmembers,
     one_point_deletions,
+    path_graph,
     perms_up_to,
     plus_one_basis,
     plus_one_member,
+    preimages,
     simples_in_class,
     union_basis,
 )
@@ -343,14 +349,27 @@ def _layers_by_probing(oracle, nmax: int, probes=None):
 
 
 def _recorded(layers, oracle, nmax, probes):
-    """Each layer as a pair of sets, and every oracle call in order."""
+    """Each layer as a pair of sets of tuples, and every oracle call as a
+    tuple, in order within each run of calls that share a parent (the call
+    with its maximum deleted).  The layers may hold packed permutations.
+
+    The runs are compared sorted: parents are taken in the order their
+    layer's collection iterates, which for the sets of the probe-by-probe
+    construction is hash order, and hash order differs between tuples and
+    bytes.  A parent whose calls were not consecutive would form two runs.
+    """
     calls = []
 
     def recording(pi):
-        calls.append(pi)
-        return oracle(pi)
+        calls.append(tuple(pi))
+        return oracle(tuple(pi))
 
-    return [(set(m), set(x)) for m, x in layers(recording, nmax, probes)], calls
+    layers = [
+        (set(map(tuple, m)), set(map(tuple, x)))
+        for m, x in layers(recording, nmax, probes)
+    ]
+    parent = lambda pi: (len(pi), tuple(v for v in pi if v < len(pi)))
+    return layers, sorted(list(run) for _, run in itertools.groupby(calls, parent))
 
 
 def _index_bases(seed: int, count: int) -> list:
@@ -386,3 +405,73 @@ class TestLayerIndex:
         for probes in (None, 1, 2):
             args = (oracle, 6, probes)
             assert _recorded(cl._layers, *args) == _recorded(_layers_by_probing, *args)
+
+
+# ---------------------------------------------------------------------------
+# packed layers: the byte format stays inside the layer generator
+
+
+def _assert_plain(perms) -> None:
+    for pi in perms:
+        assert type(pi) is tuple, pi
+        assert all(type(v) is int for v in pi), pi
+
+
+class TestPackedLayers:
+    def test_every_consumer_returns_tuples_of_ints(self):
+        non_orientable = matrix_from_rows_top_first([[1, 1], [1, -1]])
+        results = {
+            "enumerate_members": enumerate_members(SEPARABLE, 5),
+            "minimal_nonmembers": minimal_nonmembers(SEPARABLE.member, 5),
+            "simples_in_class": simples_in_class(PermClass(()), 5),
+            "union_basis": union_basis(avoiding((1, 2)), avoiding((3, 2, 1))).basis,
+            "plus_one_basis": plus_one_basis(avoiding((1, 2))).basis_class.basis,
+            "enumerate_grid monotone": enumerate_grid(X_MATRIX, 5, "monotone"),
+            "enumerate_grid layered geometric": enumerate_grid(non_orientable, 4, "geometric"),
+            "preimages": preimages(path_graph(4), 4),
+        }
+        for name, perms in results.items():
+            assert perms, name
+            _assert_plain(perms)
+
+    def test_packed_deletion_matches_delete_entry(self):
+        for pi in perms_up_to(7):
+            p = bytes(pi)
+            for j in range(len(pi)):
+                assert tuple(cl._delete(p, j)) == delete_entry(pi, j + 1), (pi, j)
+
+    @pytest.mark.parametrize("basis", SWEEP_BASES)
+    def test_union_and_plus_one_run_no_containment_test(self, basis, monkeypatch):
+        c, d = PermClass(basis), avoiding((2, 1))
+        # the union sweep stops at length 7; two edge bases would need 9
+        bound = c.max_basis_length() + d.max_basis_length()
+        union_expected = _minimal_nonmembers_by_sweep(
+            lambda pi: c.member(pi) or d.member(pi), bound
+        ) if bound <= 7 else None
+        m = c.max_basis_length()
+        plus_expected = _minimal_nonmembers_by_sweep(
+            lambda pi: plus_one_member(pi, c), min(5, m * (m + 1))
+        )
+
+        def no_containment(*args):
+            raise AssertionError("a containment test ran")
+
+        monkeypatch.setattr(cl, "contains", no_containment)
+        monkeypatch.setattr(PermClass, "member", no_containment)
+        if union_expected is not None:
+            assert union_basis(c, d).basis == union_expected
+        assert plus_one_basis(c, cap=5).basis_class.basis == plus_expected
+
+    def test_length_256_is_refused_before_any_layer(self, monkeypatch):
+        calls = []
+        with pytest.raises(ValueError, match="255") as info:
+            enumerate_members(avoiding((2, 1)), 256, max_n=256)
+        assert not isinstance(info.value, SizeGuardError)
+        with pytest.raises(ValueError, match="255"):
+            next(cl._layers(calls.append, 256))
+        assert calls == []
+
+    def test_length_255_still_packs(self):
+        assert enumerate_members(avoiding((2, 1)), 255, max_n=255) == (
+            tuple(range(1, 256)),
+        )

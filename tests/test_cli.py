@@ -371,6 +371,16 @@ class TestExitCodesAndGuards:
         )
         assert code == 3 and "size-guard refusal" in err
 
+    def test_length_above_byte_width_refused_before_any_length(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a length was enumerated before the refusal")
+
+        monkeypatch.setattr(cl, "enumerate_members", no_work)
+        code, out, err = run(
+            capsys, "enumerate", "256", "--class", AV12_JSON, "--max-n", "256"
+        )
+        assert code == 2 and out == "" and "255" in err
+
     def test_pattern_deeper_than_recursion_limit_exit_three(self, capsys):
         text = " ".join(map(str, range(1, 1301)))
         code, out, err = run(capsys, "contains", text[: text.index(" 1201")], text)
