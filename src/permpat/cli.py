@@ -9,6 +9,7 @@ prints exactly one JSON object on stdout.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -169,11 +170,12 @@ def _do_member(args) -> Outcome:
 
 
 def _counts_by_length(
-    members_of, args, what: str, cap: int, packed: bool = False
+    layers, args, what: str, cap: int, packed: bool = False
 ) -> Tuple[List[str], dict]:
-    """Count (and with ``--members`` list) ``members_of(n)`` for n = 1..N,
-    refusing an N above the size cap, or above the layer generator's byte
-    width when ``packed``, before any length is enumerated."""
+    """Count (and with ``--members`` list) the sorted members of each length
+    n = 1..N, read from the iterator ``layers``.  N is refused above the size
+    cap, or above the layer generator's byte width when ``packed``, before
+    the first layer is read."""
     check_size(what, args.n, cap, args.max_n)
     if packed:
         cl.check_packed(args.n)
@@ -181,8 +183,7 @@ def _counts_by_length(
     out = {"counts": {}}
     if args.members:
         out["members"] = {}
-    for n in range(1, args.n + 1):
-        ms = members_of(n)
+    for n, ms in enumerate(layers, start=1):
         out["counts"][n] = len(ms)
         lines.append(f"{n},{len(ms)}")
         if args.members:
@@ -193,9 +194,15 @@ def _counts_by_length(
 
 def _do_enumerate(args) -> Outcome:
     c = _class_from_flag(args)
+
+    def layers():
+        # one pass of the layer generator serves every length; packed
+        # permutations sort as their tuples do
+        for members, _ in itertools.islice(cl._class_layers(c, args.n), 1, None):
+            yield sorted(members)
+
     lines, out = _counts_by_length(
-        lambda n: cl.enumerate_members(c, n, max_n=args.max_n),
-        args, "enumerate", cl.ENUMERATE_MAX_N, packed=True,
+        layers(), args, "enumerate", cl.ENUMERATE_MAX_N, packed=True
     )
     return 0, lines, out
 
@@ -259,7 +266,7 @@ def _do_geom_member(args) -> Outcome:
 def _do_grid_enum(args) -> Outcome:
     m = _matrix_from_flag(args)
     lines, out = _counts_by_length(
-        lambda n: gr.enumerate_grid(m, n, args.kind, max_n=args.max_n),
+        (gr.enumerate_grid(m, n, args.kind, max_n=args.max_n) for n in range(1, args.n + 1)),
         args, "enumerate_grid", gr.ENUMERATE_GRID_MAX_N,
     )
     return 0, lines, {"kind": args.kind, **out}

@@ -274,19 +274,24 @@ def is_forest(g: Graph) -> bool:
     return True
 
 
+# Each predicate below tests its cheapest necessary condition first: the
+# degree test stops at the first vertex that fails it, before any
+# union-find or connectivity search is run.
+
+
 def is_linear_forest(g: Graph) -> bool:
-    return is_forest(g) and all(g.degree(v) <= 2 for v in range(1, g.n + 1))
+    return all(g.degree(v) <= 2 for v in range(1, g.n + 1)) and is_forest(g)
 
 
 def is_path(g: Graph) -> bool:
-    return g.n >= 1 and is_connected(g) and is_linear_forest(g)
+    return g.n >= 1 and is_linear_forest(g) and is_connected(g)
 
 
 def is_cycle(g: Graph) -> bool:
     return (
         g.n >= 3
-        and is_connected(g)
         and all(g.degree(v) == 2 for v in range(1, g.n + 1))
+        and is_connected(g)
     )
 
 
@@ -334,8 +339,13 @@ def classify(g: Graph) -> dict:
     }
 
 
-def has_long_induced_cycle(g: Graph, min_length: int = 5) -> bool:
-    """True iff some >= ``min_length`` vertices induce a cycle."""
+def has_long_induced_cycle(
+    g: Graph, min_length: int = 5, max_n: Optional[int] = None
+) -> bool:
+    """True iff some >= ``min_length`` vertices induce a cycle.  Every
+    vertex subset is tried, so more than 12 vertices are refused before the
+    first one."""
+    check_size("has_long_induced_cycle", g.n, 12, max_n)
     for k in range(min_length, g.n + 1):
         for sub_vertices in itertools.combinations(range(1, g.n + 1), k):
             if is_cycle(g.induced(sub_vertices)):

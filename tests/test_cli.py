@@ -150,6 +150,30 @@ class TestClassVerbs:
         assert code == 0
         assert json.loads(out) == {"counts": {"1": 1, "2": 1, "3": 1}}
 
+    def test_enumerate_matches_members_of_each_length(self, capsys, tmp_path):
+        # the verb reads every length from one pass of the layer generator;
+        # its output is what one enumerate_members call per length gives
+        mixed = tmp_path / "mixed.json"
+        mixed.write_text('{"basis": [[2, 3, 1], [4, 3, 2, 1]]}')
+        for path in (AV321_JSON, str(mixed)):
+            c = cl.class_from_json(Path(path).read_text())
+            layers = [cl.enumerate_members(c, n) for n in range(1, 7)]
+            code, out, _ = run(capsys, "enumerate", "6", "--class", path, "--members", "--json")
+            assert code == 0
+            assert json.loads(out) == {
+                "counts": {str(n): len(ms) for n, ms in enumerate(layers, start=1)},
+                "members": {
+                    str(n): [list(p) for p in ms] for n, ms in enumerate(layers, start=1)
+                },
+            }
+            code, out, _ = run(capsys, "enumerate", "6", "--class", path, "--members")
+            assert code == 0
+            expected = ["length,count"]
+            for n, ms in enumerate(layers, start=1):
+                expected.append(f"{n},{len(ms)}")
+                expected.extend(f"  {pm.format_perm(p)}" for p in ms)
+            assert out.splitlines() == expected
+
     def test_basis_of_named_oracle(self, capsys):
         code, out, _ = run(capsys, "basis", "x-monotone", "5")
         assert code == 0
@@ -360,7 +384,7 @@ class TestExitCodesAndGuards:
         def no_work(*args, **kwargs):
             raise AssertionError("a length was enumerated before the refusal")
 
-        monkeypatch.setattr(cl, "enumerate_members", no_work)
+        monkeypatch.setattr(cl, "_class_layers", no_work)
         monkeypatch.setattr(gr, "enumerate_grid", no_work)
         code, _, err = run(capsys, "enumerate", "11", "--class", AV12_JSON)
         assert code == 3 and "size-guard refusal" in err
@@ -375,7 +399,7 @@ class TestExitCodesAndGuards:
         def no_work(*args, **kwargs):
             raise AssertionError("a length was enumerated before the refusal")
 
-        monkeypatch.setattr(cl, "enumerate_members", no_work)
+        monkeypatch.setattr(cl, "_class_layers", no_work)
         code, out, err = run(
             capsys, "enumerate", "256", "--class", AV12_JSON, "--max-n", "256"
         )

@@ -8,6 +8,8 @@ import random
 
 import pytest
 
+from permpat import invgraph as ig
+
 from permpat import (
     FinitePoset,
     Graph,
@@ -361,6 +363,153 @@ class TestStructuralPredicates:
         assert not flags["is_cycle"]
 
 
+def connectivity_first_is_cycle(g):
+    """The ``is_cycle`` the degree-first order replaced: a connectivity
+    search on every graph with at least 3 vertices, then the degree test."""
+    return g.n >= 3 and is_connected(g) and all(g.degree(v) == 2 for v in range(1, g.n + 1))
+
+
+def connectivity_first_is_path(g):
+    """The ``is_path`` the degree-first order replaced: a connectivity
+    search, then a union-find, then the degree test."""
+    return (
+        g.n >= 1
+        and is_connected(g)
+        and is_forest(g)
+        and all(g.degree(v) <= 2 for v in range(1, g.n + 1))
+    )
+
+
+def every_graph(n):
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for bits in itertools.product((False, True), repeat=len(pairs)):
+        yield Graph(n, frozenset(e for e, keep in zip(pairs, bits) if keep))
+
+
+def brute_long_induced_cycle(g, min_length):
+    """Every vertex subset of at least ``min_length`` vertices, each tested
+    by the connectivity-first ``is_cycle``."""
+    return any(
+        connectivity_first_is_cycle(g.induced(sub))
+        for k in range(min_length, g.n + 1)
+        for sub in itertools.combinations(range(1, g.n + 1), k)
+    )
+
+
+def planted_hole(rng):
+    """A cycle on 5-8 random vertices of a graph on up to 9 vertices, with
+    random chords (which may break the hole into shorter ones), pendant
+    vertices and a few random edges among the remaining vertices."""
+    k = rng.randint(5, 8)
+    n = rng.randint(k, 9)
+    ring = rng.sample(range(1, n + 1), k)
+    edges = {frozenset((ring[i], ring[i - 1])) for i in range(k)}
+    for _ in range(rng.randint(0, 2)):
+        edges.add(frozenset(rng.sample(ring, 2)))
+    rest = [v for v in range(1, n + 1) if v not in ring]
+    for v in rest:
+        if rng.random() < 0.6:
+            edges.add(frozenset((v, rng.choice(ring))))
+    for u, v in itertools.combinations(rest, 2):
+        if rng.random() < 0.3:
+            edges.add(frozenset((u, v)))
+    return Graph(n, frozenset(tuple(e) for e in edges))
+
+
+def cycles_and_paths(rng, n):
+    """The vertices 1..n shuffled and cut into runs, each run closed into a
+    cycle (when it has at least 3 vertices, half the time) or left a path,
+    plus one random edge a third of the time: many graphs whose degrees all
+    pass while connectivity fails."""
+    order = rng.sample(range(1, n + 1), n)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, 2)))
+    edges = set()
+    for run in (order[i:j] for i, j in zip([0, *cuts], [*cuts, n])):
+        edges.update(frozenset(pair) for pair in zip(run, run[1:]))
+        if len(run) >= 3 and rng.random() < 0.5:
+            edges.add(frozenset((run[0], run[-1])))
+    if rng.random() < 1 / 3:
+        edges.add(frozenset(rng.sample(order, 2)))
+    return Graph(n, frozenset(tuple(e) for e in edges))
+
+
+def oracle_flags(g):
+    """``classify`` with its path, cycle and linear-forest flags from the
+    connectivity-first oracles."""
+    return {
+        **classify(g),
+        "is_path": connectivity_first_is_path(g),
+        "is_cycle": connectivity_first_is_cycle(g),
+        "is_linear_forest": is_forest(g) and all(g.degree(v) <= 2 for v in range(1, g.n + 1)),
+    }
+
+
+class TestDegreeFirstPredicates:
+    def test_every_graph_up_to_five_vertices(self):
+        for n in range(0, 6):
+            for g in every_graph(n):
+                assert ig.is_cycle(g) == connectivity_first_is_cycle(g), g
+                assert ig.is_path(g) == connectivity_first_is_path(g), g
+
+    def test_seeded_graphs_of_six_to_eight_vertices(self):
+        rng = random.Random(1406)
+        seen = set()
+        for i in range(2000):
+            g = (random_graph, cycles_and_paths)[i % 2](rng, rng.randint(6, 8))
+            cycle, path = ig.is_cycle(g), ig.is_path(g)
+            assert cycle == connectivity_first_is_cycle(g), g
+            assert path == connectivity_first_is_path(g), g
+            seen.add((cycle, path))
+        assert seen == {(False, False), (False, True), (True, False)}
+
+    def test_long_induced_cycle_against_every_subset(self):
+        rng = random.Random(1407)
+        verdicts = set()
+        for i in range(60):
+            g = planted_hole(rng) if i % 3 else cycles_and_paths(rng, rng.randint(6, 9))
+            for min_length in range(3, 7):
+                verdict = has_long_induced_cycle(g, min_length)
+                assert verdict == brute_long_induced_cycle(g, min_length), (g, min_length)
+                verdicts.add((min_length, verdict))
+        assert verdicts == {(m, v) for m in range(3, 7) for v in (False, True)}
+
+    def test_classify_against_oracle_flags(self):
+        for n in range(0, 7):
+            for pi in all_perms(n):
+                g = inversion_graph(pi)
+                assert classify(g) == oracle_flags(g), pi
+
+    def test_connectivity_searched_once_per_two_regular_subset(self, monkeypatch):
+        rng = random.Random(1495)
+        pi = tuple(rng.sample(range(1, 10), 9))
+        g = inversion_graph(pi)
+        two_regular = 0
+        for k in range(5, 10):
+            for sub in itertools.combinations(range(1, 10), k):
+                h = g.induced(sub)
+                assert not connectivity_first_is_cycle(h), sub
+                two_regular += all(h.degree(v) == 2 for v in range(1, k + 1))
+        assert two_regular > 0
+        calls = []
+        search = ig.is_connected
+        monkeypatch.setattr(ig, "is_connected", lambda h: calls.append(h.n) or search(h))
+        assert not has_long_induced_cycle(g, 5)
+        assert len(calls) == two_regular
+
+    def test_guard_fires_before_the_first_subset(self, monkeypatch):
+        hole = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a subset was built before the refusal")
+
+        with monkeypatch.context() as m:
+            m.setattr(Graph, "induced", no_work)
+            with pytest.raises(SizeGuardError):
+                has_long_induced_cycle(ig.graph_from_edges(13, hole))
+        assert has_long_induced_cycle(ig.graph_from_edges(13, hole), max_n=13)
+        assert has_long_induced_cycle(ig.graph_from_edges(12, hole))
+
+
 def subgraph_cograph(g):
     """The per-4-set test ``is_cograph`` replaced: build the induced
     subgraph and look for three edges, degrees (1, 1, 2, 2), connected."""
@@ -379,9 +528,7 @@ def random_graph(rng, n):
 class TestCographAgainstSubgraphs:
     def test_every_graph_up_to_five_vertices(self):
         for n in range(0, 6):
-            pairs = list(itertools.combinations(range(1, n + 1), 2))
-            for bits in itertools.product((False, True), repeat=len(pairs)):
-                g = Graph(n, frozenset(e for e, keep in zip(pairs, bits) if keep))
+            for g in every_graph(n):
                 assert is_cograph(g) == subgraph_cograph(g), g
 
     def test_seeded_graphs_up_to_nine_vertices(self):
@@ -424,9 +571,7 @@ class TestPrimality:
 
     def test_brute_force_cross_check_all_small_graphs(self):
         for n in range(0, 6):
-            pairs = list(itertools.combinations(range(1, n + 1), 2))
-            for bits in itertools.product((False, True), repeat=len(pairs)):
-                g = Graph(n, frozenset(e for e, keep in zip(pairs, bits) if keep))
+            for g in every_graph(n):
                 assert is_prime(g) == brute_force_prime(g), g
 
     def test_seeded_graphs_of_six_and_seven_vertices(self):
