@@ -265,9 +265,10 @@ def _do_geom_member(args) -> Outcome:
 
 def _do_grid_enum(args) -> Outcome:
     m = _matrix_from_flag(args)
+    # one pass serves every length
+    layers = gr._grid_layers(m, args.n, args.kind, args.max_n)
     lines, out = _counts_by_length(
-        (gr.enumerate_grid(m, n, args.kind, max_n=args.max_n) for n in range(1, args.n + 1)),
-        args, "enumerate_grid", gr.ENUMERATE_GRID_MAX_N,
+        itertools.islice(layers, 1, None), args, "enumerate_grid", gr.ENUMERATE_GRID_MAX_N
     )
     return 0, lines, {"kind": args.kind, **out}
 

@@ -160,13 +160,14 @@ class GriddedPermutation:
 
 
 def validate_gridded(gp: GriddedPermutation, m: ZeroPmOneMatrix) -> bool:
-    """Independent re-check of every gridding invariant: cells nonzero,
-    column assignment weakly increasing in position, row assignment weakly
-    increasing in value, and each cell's content monotone per its sign."""
+    """Independent re-check of every gridding invariant: cells inside the
+    matrix and nonzero, column assignment weakly increasing in position, row
+    assignment weakly increasing in value, and each cell's content monotone
+    per its sign."""
     pi = gp.perm
     n = len(pi)
     for k, l in gp.cells:
-        if m.entry(k, l) == 0:
+        if not (1 <= k <= m.cols and 1 <= l <= m.rows) or m.entry(k, l) == 0:
             return False
     for i in range(n - 1):
         if gp.cells[i][0] > gp.cells[i + 1][0]:
@@ -184,29 +185,79 @@ def validate_gridded(gp: GriddedPermutation, m: ZeroPmOneMatrix) -> bool:
     return True
 
 
-def _cuts(n: int, parts: int) -> Iterator[tuple]:
-    """Every weakly increasing assignment of parts 1..parts to n items (an
-    entry's column, or a value's row), in descending lexicographic order:
-    the order of ascending part sizes, which is the ascending order of the
-    ``parts - 1`` cut points.  Lazy, so a search can stop at the first.
+def _line_fits(reading_order, signs) -> bool:
+    """Whether a line whose nonzero cells have ``signs`` can hold the
+    entries it reads in ``reading_order``: a line with no nonzero cell must
+    be empty, and a line with one must be monotone in that cell's sign.  A
+    line with more cells is not tested; :func:`validate_gridded` decides it.
 
-    >>> list(_cuts(2, 2))
-    [(2, 2), (1, 2), (1, 1)]
+    >>> _line_fits((1, 3, 2), (1,)), _line_fits((3, 2), (-1,)), _line_fits((1,), ())
+    (False, True, False)
     """
-    for points in itertools.combinations_with_replacement(range(n + 1), parts - 1):
-        cut, low = (), 0
-        for part, high in enumerate(points + (n,), 1):
-            cut += (part,) * (high - low)
-            low = high
-        yield cut
+    if len(signs) > 1:
+        return True
+    if not signs:
+        return not reading_order
+    return all((b - a) * signs[0] > 0 for a, b in zip(reading_order, reading_order[1:]))
+
+
+def _fitting_cuts(perm, inv, lines: list, k: int = 0, a: int = 0) -> Iterator[tuple]:
+    """Every cut of ``perm``'s positions ``a``.. into consecutive runs, one
+    for each of the lines ``k``.. in turn, that leaves every line fitting on
+    its own, as the line (numbered from 1) of each position.  The order is
+    ascending in the cut points, which is the order of ascending part sizes;
+    lazy, so a search can stop at the first cut.
+
+    ``lines[k]`` lists line k+1's nonzero signs, and a run fits when its
+    entries read by value (their positions, via the inverse ``inv``) pass
+    :func:`_line_fits`.  A gridding cuts columns this way, and its rows are
+    the same cut of the inverse permutation, read by position.  A longer run
+    from the same start holds every entry of a run that fails, so it fails
+    too, and the search moves on without building it or its continuations.
+
+    >>> list(_fitting_cuts((1, 2), (1, 2), [[1], [1]]))
+    [(2, 2), (1, 2), (1, 1)]
+    >>> list(_fitting_cuts((2, 1), (2, 1), [[1], [1]]))
+    [(1, 2)]
+    >>> list(_fitting_cuts((2, 1), (2, 1), [[1], [], [-1]]))
+    [(3, 3), (1, 3)]
+    """
+    n = len(perm)
+    last = k == len(lines) - 1
+    for b in range(n if last else a, n + 1):
+        if not _line_fits([inv[v - 1] for v in sorted(perm[a:b])], lines[k]):
+            return
+        head = (k + 1,) * (b - a)
+        if last:
+            yield head
+        else:
+            for rest in _fitting_cuts(perm, inv, lines, k + 1, b):
+                yield head + rest
 
 
 def _griddings(pi: Perm, m: ZeroPmOneMatrix) -> Iterator[GriddedPermutation]:
     """All legal griddings, column cuts outer, value cuts inner, both in
-    lexicographic order of their part sizes."""
-    rows = list(_cuts(len(pi), m.rows))
-    for col_of_pos in _cuts(len(pi), m.cols):
-        for row_of_value in rows:
+    lexicographic order of their part sizes.  Each column and each row is
+    tested on its own as its cut is built (a column reads its entries by
+    value, a row by position), so a cut that leaves an entry in a line with
+    no nonzero cell, or a non-monotone line with one, is dropped before any
+    pair is built.  Every pair of fitting cuts is still checked by
+    :func:`validate_gridded`.  The row cuts are built once, only as the
+    first fitting column cut reads them, so a search that stops early builds
+    no cut list."""
+    inv = sorted(range(1, len(pi) + 1), key=lambda i: pi[i - 1])
+    columns = [[s for s in col if s] for col in m.signs]
+    rows = [[col[l] for col in m.signs if col[l]] for l in range(m.rows)]
+    kept, fresh = [], _fitting_cuts(inv, pi, rows)
+
+    def row_cuts():
+        yield from kept
+        for cut in fresh:
+            kept.append(cut)
+            yield cut
+
+    for col_of_pos in _fitting_cuts(pi, inv, columns):
+        for row_of_value in row_cuts():
             cells = tuple(zip(col_of_pos, [row_of_value[v - 1] for v in pi]))
             gp = GriddedPermutation(pi, cells)
             if validate_gridded(gp, m):
@@ -329,10 +380,12 @@ def _orientation(m: ZeroPmOneMatrix) -> Optional[tuple]:
     return tuple(col[1:]), tuple(s or 1 for s in row[1:])
 
 
-def _drawn_members(m: ZeroPmOneMatrix, n: int) -> Optional[set]:
-    """The length-n members of the geometric class of a consistently
-    oriented ``m``, built one point at a time without a solver; None when
-    ``m`` has no consistent orientation.
+def _drawn_layers(
+    m: ZeroPmOneMatrix, n: int, col_sign: tuple, row_sign: tuple
+) -> Iterator[list]:
+    """The sorted members of each length 0..n of the geometric class of
+    ``m``, oriented by the column and row signs of :func:`_orientation`,
+    built one point at a time without a solver.
 
     With signs c_k, r_l, the segment of cell (k, l) starts on the left edge
     of column k when c_k = 1 (the right edge when −1) and on the bottom edge
@@ -348,10 +401,6 @@ def _drawn_members(m: ZeroPmOneMatrix, n: int) -> Optional[set]:
     last length keeps perms only: it has the most states by far (656 343
     for 4 999 perms on the 3×3 all-ones matrix at n = 7).
     """
-    signs = _orientation(m)
-    if signs is None:
-        return None
-    col_sign, row_sign = signs
     # per cell: its column and row, and how many columns and rows lie before
     # the end of the column and the end of the row the new point joins
     ends = [
@@ -359,6 +408,7 @@ def _drawn_members(m: ZeroPmOneMatrix, n: int) -> Optional[set]:
         for k, l in m.nonzero_cells()
     ]
     states = {((), (0,) * m.cols, (0,) * m.rows)}
+    yield [()]
     for length in range(1, n + 1):
         grown = set()
         for perm, cs, rs in states:
@@ -376,26 +426,40 @@ def _drawn_members(m: ZeroPmOneMatrix, n: int) -> Optional[set]:
                     )
                 grown.add(drawn)
         states = grown
-    return states if n else {()}
+        yield sorted(states) if length == n else sorted({s[0] for s in states})
 
 
-#: Each kind of grid class: its membership decider, and a builder of its
-#: length-n members that returns None for a matrix it does not cover (the
-#: decider then filters one-point extensions, layer by layer).
-_DECIDERS = {"monotone": (grid_member, None), "geometric": (geom_member, _drawn_members)}
+#: The membership decider of each kind of grid class.
+_DECIDERS = {"monotone": grid_member, "geometric": geom_member}
 GRID_KINDS = tuple(_DECIDERS)
 #: Default length cap of :func:`enumerate_grid`.
 ENUMERATE_GRID_MAX_N = 7
 
 
+def _grid_layers(
+    m: ZeroPmOneMatrix, n: int, kind: str, max_n: Optional[int] = None
+) -> Iterator[list]:
+    """The sorted members of each length 0..n of the monotone or geometric
+    class, as one pass.  A consistently oriented matrix's geometric class is
+    built from gridded drawings, one point at a time.  Otherwise, as both
+    classes are closed under deleting points, the class is built layer by
+    layer from one-point extensions of the shorter members, each decided by
+    its membership test.  Lazy: nothing is built before the first length is
+    read."""
+    signs = _orientation(m) if kind == "geometric" else None
+    if signs is not None:
+        yield from _drawn_layers(m, n, *signs)
+        return
+    decide = _DECIDERS[kind]
+    for members, _ in _tuple_layers(lambda pi: decide(pi, m, max_n=max_n) is not None, n):
+        yield sorted(members)
+
+
 def enumerate_grid(
     m: ZeroPmOneMatrix, n: int, kind: str, max_n: Optional[int] = None
 ) -> tuple:
-    """All length-n members of the monotone or geometric class, sorted.
-    A consistently oriented matrix's geometric class is built from gridded
-    drawings, one point at a time.  Otherwise, as both classes are closed
-    under deleting points, the class is built layer by layer from one-point
-    extensions of the shorter members, each decided by its membership test.
+    """All length-n members of the monotone or geometric class, sorted: the
+    last length of :func:`_grid_layers`.
 
     >>> len(enumerate_grid(X_MATRIX, 4, "monotone"))
     22
@@ -405,12 +469,9 @@ def enumerate_grid(
     if kind not in GRID_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {GRID_KINDS}")
     check_size("enumerate_grid", n, ENUMERATE_GRID_MAX_N, max_n)
-    decide, build = _DECIDERS[kind]
-    members = build(m, n) if build else None
-    if members is None:
-        for members, _ in _tuple_layers(lambda pi: decide(pi, m, max_n=max_n) is not None, n):
-            pass
-    return tuple(sorted(members))
+    for members in _grid_layers(m, n, kind, max_n):
+        pass
+    return tuple(members)
 
 
 @dataclass(frozen=True)

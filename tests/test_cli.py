@@ -243,6 +243,35 @@ class TestGridVerbs:
         assert code == 0
         assert out.splitlines()[-1] == "4,20"
 
+    def test_grid_enum_matches_enumerate_grid_of_each_length(self, capsys, tmp_path):
+        # the verb reads every length from one pass of the builders; its
+        # output is what one enumerate_grid call per length gives
+        unoriented = tmp_path / "unoriented.json"
+        unoriented.write_text('{"cols": 2, "rows": 2, "entries": [[1, 1], [1, -1]]}')
+        for path in (X_JSON, str(unoriented)):
+            m = gr.matrix_from_json(Path(path).read_text())
+            for kind in gr.GRID_KINDS:
+                layers = [gr.enumerate_grid(m, n, kind) for n in range(1, 6)]
+                argv = ("grid-enum", "5", "--matrix", path, "--kind", kind)
+                expected = ["length,count"]
+                for n, ms in enumerate(layers, start=1):
+                    expected.append(f"{n},{len(ms)}")
+                    expected.extend(f"  {pm.format_perm(p)}" for p in ms)
+                code, out, _ = run(capsys, *argv, "--members")
+                assert code == 0 and out.splitlines() == expected, (path, kind)
+                code, out, _ = run(capsys, *argv)
+                assert code == 0
+                assert out.splitlines() == [line for line in expected if line[0] != " "]
+                code, out, _ = run(capsys, *argv, "--members", "--json")
+                assert code == 0
+                assert json.loads(out) == {
+                    "kind": kind,
+                    "counts": {str(n): len(ms) for n, ms in enumerate(layers, start=1)},
+                    "members": {
+                        str(n): [list(p) for p in ms] for n, ms in enumerate(layers, start=1)
+                    },
+                }
+
 
 class TestAntichainVerb:
     def test_plain_member(self, capsys):
@@ -385,11 +414,13 @@ class TestExitCodesAndGuards:
             raise AssertionError("a length was enumerated before the refusal")
 
         monkeypatch.setattr(cl, "_class_layers", no_work)
-        monkeypatch.setattr(gr, "enumerate_grid", no_work)
+        monkeypatch.setattr(gr, "_tuple_layers", no_work)
+        monkeypatch.setattr(gr, "_drawn_layers", no_work)
         code, _, err = run(capsys, "enumerate", "11", "--class", AV12_JSON)
         assert code == 3 and "size-guard refusal" in err
-        code, _, err = run(capsys, "grid-enum", "8", "--matrix", X_JSON)
-        assert code == 3 and "size-guard refusal" in err
+        for kind in gr.GRID_KINDS:
+            code, _, err = run(capsys, "grid-enum", "8", "--matrix", X_JSON, "--kind", kind)
+            assert code == 3 and "size-guard refusal" in err
         code, _, err = run(
             capsys, "enumerate", "12", "--class", AV12_JSON, "--max-n", "11"
         )

@@ -168,7 +168,13 @@ class TestAgainstOracles:
 
     @pytest.mark.parametrize(
         "rows",
-        [[[-1, 1], [1, -1]], [[1, 0, -1], [0, 1, 1]], [[1, -1], [0, 1], [1, 0]]],
+        [
+            [[-1, 1], [1, -1]],
+            [[1, 0, -1], [0, 1, 1]],
+            [[1, -1], [0, 1], [1, 0]],
+            [[-1, 1, 0], [0, -1, 1]],
+            [[0, -1], [1, 1], [-1, 0]],
+        ],
     )
     def test_griddings_at_six(self, rows):
         m = matrix_from_rows_top_first(rows)
@@ -184,10 +190,8 @@ class TestAgainstOracles:
 
 
 class TestMonotoneGridding:
-    def test_first_column_cut_needs_no_cut_list(self):
-        # 1×10 all-increasing: the first column cut already grids the
-        # identity, so the other 293 929 column cuts are never built
-        m = ZeroPmOneMatrix(10, 1, tuple((1,) for _ in range(10)))
+    @staticmethod
+    def _assert_identity_gridded_in_little_memory(m):
         tracemalloc.start()
         try:
             gp = grid_member(tuple(range(1, 13)), m)
@@ -196,6 +200,41 @@ class TestMonotoneGridding:
             tracemalloc.stop()
         assert gp is not None and validate_gridded(gp, m)
         assert peak < 1_000_000, peak
+
+    def test_first_column_cut_needs_no_cut_list(self):
+        # 1×10 all-increasing: the first column cut already grids the
+        # identity, so the other 293 929 column cuts are never built
+        self._assert_identity_gridded_in_little_memory(
+            ZeroPmOneMatrix(10, 1, tuple((1,) for _ in range(10)))
+        )
+
+    def test_first_row_cut_needs_no_cut_list(self):
+        # 10×1 all-increasing: the first row cut that the one column cut
+        # meets grids the identity, so the other row cuts are never built
+        self._assert_identity_gridded_in_little_memory(ZeroPmOneMatrix(1, 10, ((1,) * 10,)))
+
+    def test_pairs_built_only_from_fitting_cuts(self, monkeypatch):
+        calls = []
+
+        def counting(gp, m):
+            calls.append(gp)
+            return validate_gridded(gp, m)
+
+        monkeypatch.setattr(grids, "validate_gridded", counting)
+        # the one column cut leaves a decreasing column in a +1 cell
+        assert grid_member((2, 1), ZeroPmOneMatrix(1, 1, ((1,),))) is None
+        assert calls == []
+        # over S6: every line of X has two nonzero cells, so all 720 · 49
+        # (column cut, row cut) pairs are built; on a 3×2 matrix with two
+        # one-cell columns, 37 072 of its 720 · 28 · 7 pairs are built
+        for rows, built, found in (
+            ([[-1, 1], [1, -1]], 35_280, 2_092),
+            ([[1, 0, -1], [0, 1, 1]], 37_072, 1_093),
+        ):
+            m = matrix_from_rows_top_first(rows)
+            calls.clear()
+            griddings = sum(len(list(grids._griddings(pi, m))) for pi in all_perms(6))
+            assert (len(calls), griddings) == (built, found), rows
 
     def test_member_witness(self):
         gp = grid_member((3, 1, 4, 2), X_MATRIX)
@@ -239,6 +278,10 @@ class TestMonotoneGridding:
         m = matrix_from_rows_top_first([[0, 1]])
         gp = GriddedPermutation((1,), ((1, 1),))
         assert not validate_gridded(gp, m)
+
+    def test_validate_rejects_cell_outside_matrix(self):
+        for cells in (((3, 1), (1, 1)), ((1, 1), (1, 3)), ((0, 1), (1, 1)), ((1, 0), (1, 1))):
+            assert not validate_gridded(GriddedPermutation((1, 2), cells), X_MATRIX), cells
 
     def test_cells_length_checked(self):
         with pytest.raises(ValueError):
