@@ -72,10 +72,12 @@ def avoiding(*basis: Perm, name: Optional[str] = None) -> PermClass:
     return PermClass(tuple(basis), name)
 
 
-#: ``_DROP[g]`` lowers every byte above ``g`` by one, so translating a
-#: packed permutation by it reduces what is left after the value g is cut.
+#: ``_DROP[g]`` lowers every byte above ``g`` by one and ``_BYTE[g]`` is the
+#: byte g, so ``p.translate(_DROP[g], _BYTE[g])`` cuts the value g out of a
+#: packed permutation and reduces what is left, in one call.
 _BYTES = bytes(range(256))
 _DROP = [_BYTES[: g + 1] + _BYTES[g:255] for g in range(256)]
+_BYTE = [bytes((g,)) for g in range(256)]
 #: The longest permutation that packs into bytes, one value per byte.
 PACKED_MAX_N = 255
 
@@ -90,37 +92,45 @@ def check_packed(n: int) -> None:
 
 
 def _delete(p: bytes, j: int) -> bytes:
-    """The packed one-point deletion of the entry at 0-based position ``j``."""
-    return (p[:j] + p[j + 1 :]).translate(_DROP[p[j]])
+    """The packed one-point deletion of the entry at 0-based position ``j``:
+    one translation deletes the byte ``p[j]`` and lowers every larger one."""
+    g = p[j]
+    return p.translate(_DROP[g], _BYTE[g])
 
 
-def _layers(
-    oracle: Callable[[bytes], bool], nmax: int, probes: Optional[int] = None
-) -> Iterator[tuple]:
+def _layers(oracle: Callable[[bytes], bool] | set, nmax: int) -> Iterator[tuple]:
     """Yield ``(members, minimal_nonmembers)`` of a downward-closed set, as
     two lists, for each length 0..nmax in turn.
 
     Permutations are packed: ``bytes`` whose entry i is the value at
-    position i, so a layer is sorted by memcmp and a deletion is two slices
-    and a :data:`_DROP` translation.  ``oracle`` receives packed
-    permutations, and a length above :data:`PACKED_MAX_N` is refused before
-    any layer is built.
+    position i, so a layer is sorted by memcmp and a deletion is one byte
+    translation (:func:`_delete`).  A length above :data:`PACKED_MAX_N` is
+    refused before any layer is built.  The set is given in one of two ways:
+
+    * ``oracle`` is a callable on packed permutations, true on the members.
+      Every one-point deletion of a candidate is probed and every survivor
+      is put to ``oracle``, so a survivor it refuses is exactly a minimal
+      nonmember.
+    * ``oracle`` is a class basis: a set of packed permutations whose
+      longest element has length k.  The members avoid it.  Only k
+      deletions of a candidate other than the inserted point are probed
+      (all of them while there are fewer), a survivor is asked
+      ``p not in basis`` only at lengths up to k, and above k, where no
+      basis element has its length, every survivor is a member and is
+      appended with no test at all.
 
     A length-n candidate is a length-(n-1) member with the value n inserted
     at one position; deleting its maximum gives back that parent, so every
     permutation is a candidate at most once and the lists hold no repeats.
     A candidate is rejected as soon as a probed one-point deletion is
-    missing from the previous layer, and only a survivor is put to
-    ``oracle``.  With ``probes=None`` every deletion is probed, so a
-    survivor the oracle refuses is exactly a minimal nonmember.
+    missing from the previous layer.
 
-    For a class with basis elements of length at most k, probing k
-    deletions (other than the inserted point) is already exact with the
-    oracle ``pi not in basis``: the parent avoids the basis, so an
-    occurrence of a basis element uses the inserted point and at most k-1
-    other entries, and deleting any probed entry outside it leaves a
+    Probing k deletions is exact for a basis: the parent avoids the basis,
+    so an occurrence of a basis element uses the inserted point and at most
+    k-1 other entries, and deleting any probed entry outside it leaves a
     nonmember.  When fewer than k other entries exist, all are probed, and
-    the only occurrence that can remain is the whole candidate.
+    the only occurrence that can remain is the whole candidate, which is
+    then a basis element; above length k none can remain.
 
     The previous layer is probed through an index, not built deletion by
     deletion: ``index[parent]`` has bit ``pos`` set when inserting the
@@ -134,26 +144,44 @@ def _layers(
     each parent needs k deletions, one lookup each, and the positions that
     survive probe j are those of ``m`` below bit j and of ``m << 1`` from
     bit j up, where ``m`` is the index entry of that deletion.  Parents are
-    taken in the order they were found, and survivors go to the oracle in
-    ascending position order.
+    taken in the order they were found, and each parent's survivors are
+    visited in ascending position order.
     """
     check_packed(nmax)
+    if callable(oracle):
+        k = nmax  # every deletion is probed and every length is asked
+    else:
+        basis = oracle
+        k = max(map(len, basis), default=0)
+        oracle = lambda p: p not in basis
     members = [b""] if oracle(b"") else []
     yield members, ([] if members else [b""])
     index = {}
     for n in range(1, nmax + 1):
-        others = n - 1 if probes is None else min(probes, n - 1)
-        lows = [(1 << j) - 1 for j in range(1, others + 1)]
-        top = bytes((n,))
-        prev, prev_index = members, index
+        # deleting parent entry j (0-based) keeps the bits of m below bit
+        # j + 1 and those of m << 1 from bit j + 1 up
+        probes = [(j, (2 << j) - 1, -(2 << j)) for j in range(min(k, n - 1))]
+        top, everywhere = _BYTE[n], (1 << n) - 1
+        prev, get = members, index.get
         members, nonmembers, index = [], [], {}
+        append = members.append
         for parent in prev:
-            free = (1 << n) - 1
-            for j, low in enumerate(lows):
-                m = prev_index.get(_delete(parent, j), 0)
-                free &= (m & low) | (m << 1 & ~low)
+            free = everywhere
+            for j, low, high in probes:
+                g = parent[j]
+                m = get(parent.translate(_DROP[g], _BYTE[g]), 0)
+                free &= m & low | m << 1 & high
                 if not free:
                     break
+            if n > k:
+                if free:
+                    index[parent] = free
+                    while free:
+                        bit = free & -free
+                        free ^= bit
+                        pos = bit.bit_length() - 1
+                        append(top.join((parent[:pos], parent[pos:])))
+                continue
             kept = 0
             while free:
                 bit = free & -free
@@ -161,7 +189,7 @@ def _layers(
                 pos = bit.bit_length() - 1
                 pi = top.join((parent[:pos], parent[pos:]))
                 if oracle(pi):
-                    members.append(pi)
+                    append(pi)
                     kept |= bit
                 else:
                     nonmembers.append(pi)
@@ -179,9 +207,10 @@ def _tuple_layers(oracle: Callable[[Perm], bool], nmax: int) -> Iterator[tuple]:
 
 
 def _class_layers(c: PermClass, nmax: int) -> Iterator[tuple]:
-    """:func:`_layers` of a finitely based class, with no containment test."""
-    basis = {bytes(b) for b in c.basis}
-    return _layers(lambda p: p not in basis, nmax, c.max_basis_length())
+    """:func:`_layers` of a finitely based class, given by its packed basis,
+    so no containment test runs and no candidate longer than the longest
+    basis element is tested at all."""
+    return _layers({bytes(b) for b in c.basis}, nmax)
 
 
 def _class_sets(c: PermClass, nmax: int) -> list:
@@ -413,13 +442,9 @@ def simples_in_class(
     ((1, 2), (2, 1), (2, 4, 1, 3), (3, 1, 4, 2))
     """
     check_size("simples_in_class", nmax, 9, max_n)
-    out = [
-        pi
-        for members, _ in _class_layers(c, nmax)
-        for pi in map(tuple, members)
-        if is_simple(pi)
-    ]
-    return tuple(sorted(out, key=_perm_sort_key))
+    out = [p for members, _ in _class_layers(c, nmax) for p in members if is_simple(p)]
+    out.sort(key=_perm_sort_key)
+    return tuple(map(tuple, out))
 
 
 def downward_closure(xs: Iterable[Perm], n: int) -> tuple:

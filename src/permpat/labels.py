@@ -214,7 +214,8 @@ def labeled_containment_witness(
     A witness is an increasing 1-based index sequence of ``p`` whose entries
     reduce to ``s.perm`` and whose labels dominate the pattern's labels
     componentwise in ``poset`` (pattern label <= text label at each matched
-    index).
+    index).  The search is :func:`permpat.perm.containment_witness`'s, under
+    the same pattern-length cap.
     """
     # the order relation's row per pattern slot, element index per text position
     index = poset._index

@@ -22,7 +22,7 @@ from permpat import (
     enumerate_grid,
     enumerate_members,
     increasing_oscillations,
-    is_simple,
+    intervals,
     matrix_from_rows_top_first,
     minimal_nonmembers,
     one_point_deletions,
@@ -288,7 +288,7 @@ class TestLayersAgainstSweeps:
             expected = tuple(
                 pi
                 for pi in perms_up_to(nmax)
-                if len(pi) >= 2 and is_simple(pi) and c.member(pi)
+                if len(pi) >= 2 and not intervals(pi) and c.member(pi)
             )
             assert simples_in_class(c, nmax) == expected, nmax
 
@@ -325,17 +325,23 @@ class TestLayersAgainstSweeps:
 # the indexed layer generator against the probe-by-probe construction
 
 
-def _layers_by_probing(oracle, nmax: int, probes=None):
+def _layers_by_probing(oracle, nmax: int):
     """The layer generator without the index: every probed one-point
     deletion of every candidate is built and looked up in the previous
-    layer, the first ``probes`` entries other than the inserted maximum."""
+    layer.  As in ``cl._layers``, ``oracle`` is either a callable, with every
+    deletion probed and every survivor asked, or a basis whose longest
+    element has length k, with the first k entries other than the inserted
+    maximum probed and a survivor asked ``pi not in basis`` only at lengths
+    up to k."""
+    if callable(oracle):
+        k = nmax
+    else:
+        basis, k = oracle, max(map(len, oracle), default=0)
+        oracle = lambda pi: pi not in basis
     members = {()} if oracle(()) else set()
     yield members, (set() if members else {()})
     for n in range(1, nmax + 1):
-        others = n - 1 if probes is None else min(probes, n - 1)
-        probe_at = [
-            [i for i in range(1, n + 1) if i != pos + 1][:others] for pos in range(n)
-        ]
+        probe_at = [[i for i in range(1, n + 1) if i != pos + 1][:k] for pos in range(n)]
         prev, members, nonmembers = members, set(), set()
         for parent in prev:
             for pos in range(n):
@@ -344,14 +350,30 @@ def _layers_by_probing(oracle, nmax: int, probes=None):
                     if delete_entry(pi, i) not in prev:
                         break
                 else:
-                    (members if oracle(pi) else nonmembers).add(pi)
+                    (members if n > k or oracle(pi) else nonmembers).add(pi)
         yield members, nonmembers
 
 
-def _recorded(layers, oracle, nmax, probes):
-    """Each layer as a pair of sets of tuples, and every oracle call as a
-    tuple, in order within each run of calls that share a parent (the call
-    with its maximum deleted).  The layers may hold packed permutations.
+class _RecordingBasis:
+    """A basis that answers ``pi in basis`` for tuples and packed bytes
+    alike, and records every permutation it is asked about as a tuple."""
+
+    def __init__(self, basis, calls: list):
+        self.basis, self.calls = {tuple(b) for b in basis}, calls
+
+    def __iter__(self):
+        return iter(self.basis)
+
+    def __contains__(self, pi):
+        self.calls.append(tuple(pi))
+        return tuple(pi) in self.basis
+
+
+def _recorded(layers, oracle, nmax):
+    """Each layer as a pair of sets of tuples, and every oracle call (or
+    basis lookup) as a tuple, in order within each run of calls that share
+    a parent (the call with its maximum deleted).  The layers may hold
+    packed permutations.
 
     The runs are compared sorted: parents are taken in the order their
     layer's collection iterates, which for the sets of the probe-by-probe
@@ -364,10 +386,8 @@ def _recorded(layers, oracle, nmax, probes):
         calls.append(tuple(pi))
         return oracle(tuple(pi))
 
-    layers = [
-        (set(map(tuple, m)), set(map(tuple, x)))
-        for m, x in layers(recording, nmax, probes)
-    ]
+    test = recording if callable(oracle) else _RecordingBasis(oracle, calls)
+    layers = [(set(map(tuple, m)), set(map(tuple, x))) for m, x in layers(test, nmax)]
     parent = lambda pi: (len(pi), tuple(v for v in pi if v < len(pi)))
     return layers, sorted(list(run) for _, run in itertools.groupby(calls, parent))
 
@@ -384,15 +404,16 @@ def _index_bases(seed: int, count: int) -> list:
 
 
 class TestLayerIndex:
-    @pytest.mark.parametrize("basis", _index_bases(4301, 12) + [((1, 2),), ((2, 1),)])
+    @pytest.mark.parametrize(
+        "basis", _index_bases(4301, 12) + [((1, 2),), ((2, 1),), (), ((),)]
+    )
     def test_class_oracle_with_basis_probes(self, basis):
-        c = PermClass(basis)
-        args = (lambda pi: pi not in c.basis, 7, c.max_basis_length())
+        args = (PermClass(basis).basis, 7)
         assert _recorded(cl._layers, *args) == _recorded(_layers_by_probing, *args)
 
     @pytest.mark.parametrize("basis", _index_bases(4302, 6) + [()])
     def test_member_oracle_with_every_deletion_probed(self, basis):
-        args = (PermClass(basis).member, 7, None)
+        args = (PermClass(basis).member, 7)
         assert _recorded(cl._layers, *args) == _recorded(_layers_by_probing, *args)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -402,9 +423,18 @@ class TestLayerIndex:
         def oracle(pi):
             return len(pi) < 3 or random.Random(f"{seed}:{pi}").random() < 0.9
 
-        for probes in (None, 1, 2):
-            args = (oracle, 6, probes)
-            assert _recorded(cl._layers, *args) == _recorded(_layers_by_probing, *args)
+        args = (oracle, 6)
+        assert _recorded(cl._layers, *args) == _recorded(_layers_by_probing, *args)
+
+    def test_class_layers_test_nothing_above_the_longest_basis_element(self, monkeypatch):
+        calls, layers = [], cl._layers
+        monkeypatch.setattr(
+            cl, "_layers", lambda basis, nmax: layers(_RecordingBasis(basis, calls), nmax)
+        )
+        counts = [len(m) for m, _ in cl._class_layers(avoiding((3, 2, 1)), 8)]
+        assert counts == [1, 1, 2, 5, 14, 42, 132, 429, 1430]
+        # the empty permutation, then every survivor of lengths 1, 2 and 3
+        assert sorted(map(len, calls)) == [0, 1, 2, 2] + [3] * 6
 
 
 # ---------------------------------------------------------------------------

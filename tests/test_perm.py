@@ -5,12 +5,15 @@ import random
 import pytest
 
 from permpat import (
+    TWO_ANTICHAIN,
+    SizeGuardError,
     SubstitutionTree,
     all_patterns,
     all_perms,
     apply_symmetry,
     avoids,
     components,
+    constant_labels,
     containment_witness,
     contains,
     decompose_tree,
@@ -22,6 +25,7 @@ from permpat import (
     inverse,
     is_simple,
     is_sum_indecomposable,
+    labeled_containment_witness,
     one_point_deletions,
     one_point_extensions,
     parse_perm,
@@ -34,6 +38,7 @@ from permpat import (
     skew_sum,
     symmetry_class,
 )
+from permpat import perm as pm
 
 ANCHOR_TEXT = (4, 3, 2, 6, 7, 9, 1, 8, 5)
 
@@ -109,6 +114,36 @@ class TestContainment:
 
     def test_all_patterns(self):
         assert all_patterns((2, 1)) == {(), (1,), (2, 1)}
+
+
+class TestWitnessCap:
+    TEXT = tuple(range(1, 1301))
+
+    def test_long_pattern_refused_before_any_search(self, monkeypatch):
+        def no_search(sigma):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(pm, "_slot_bounds", no_search)
+        sigma = tuple(range(1, pm.WITNESS_MAX_K + 2))
+        searches = {
+            "contains": lambda: contains(sigma, self.TEXT),
+            "containment_witness": lambda: containment_witness(sigma, self.TEXT),
+            "labeled_containment_witness": lambda: labeled_containment_witness(
+                constant_labels(sigma, "o"), constant_labels(self.TEXT, "o"), TWO_ANTICHAIN
+            ),
+        }
+        for name, search in searches.items():
+            with pytest.raises(SizeGuardError) as info:
+                search()
+            assert (info.value.actual, info.value.limit) == (len(sigma), 500), name
+
+    def test_pattern_at_the_cap_is_searched(self):
+        sigma = tuple(range(1, pm.WITNESS_MAX_K + 1))
+        assert containment_witness(sigma, self.TEXT) == sigma
+        assert not contains(sigma[::-1], self.TEXT[:600])
+
+    def test_pattern_longer_than_the_text_is_absent_with_no_refusal(self):
+        assert containment_witness(self.TEXT, (2, 1)) is None
 
 
 class TestSymmetries:
