@@ -16,9 +16,9 @@ from .guards import check_size
 from .perm import (
     Perm,
     check_perm,
-    components,
+    _simple_split,
+    _sum_split,
     contains,
-    decompose_tree,
     is_simple,
     one_point_deletions,
     patterns_of_length,
@@ -82,15 +82,6 @@ _BYTE = [bytes((g,)) for g in range(256)]
 PACKED_MAX_N = 255
 
 
-def check_packed(n: int) -> None:
-    """Refuse a length above :data:`PACKED_MAX_N` with a plain ValueError."""
-    if n > PACKED_MAX_N:
-        raise ValueError(
-            f"length {n} is above {PACKED_MAX_N}: the layer generator packs "
-            f"one value per byte"
-        )
-
-
 def _delete(p: bytes, j: int) -> bytes:
     """The packed one-point deletion of the entry at 0-based position ``j``:
     one translation deletes the byte ``p[j]`` and lowers every larger one."""
@@ -147,7 +138,11 @@ def _layers(oracle: Callable[[bytes], bool] | set, nmax: int) -> Iterator[tuple]
     taken in the order they were found, and each parent's survivors are
     visited in ascending position order.
     """
-    check_packed(nmax)
+    if nmax > PACKED_MAX_N:
+        raise ValueError(
+            f"length {nmax} is above {PACKED_MAX_N}: the layer generator packs "
+            f"one value per byte"
+        )
     if callable(oracle):
         k = nmax  # every deletion is probed and every length is asked
     else:
@@ -340,66 +335,36 @@ def plus_one_basis(
     return PlusOneBasisResult(_basis_class(oracle, searched_to), searched_to, exact)
 
 
-def _component_closure(pi: Perm, c: PermClass, direction: str) -> bool:
-    return all(c.member(comp) for comp in components(pi, direction))
-
-
-def _substitution_closure(pi: Perm, c: PermClass) -> bool:
-    if not c.member((1,)):
-        return False
-    if contains((1, 2), pi) and not c.member((1, 2)):
-        return False
-    if contains((2, 1), pi) and not c.member((2, 1)):
-        return False
-    for k in range(4, len(pi) + 1):
-        for pattern in patterns_of_length(pi, k):
-            if is_simple(pattern) and not c.member(pattern):
-                return False
-    return True
-
-
-def _separable_closure(pi: Perm, c: PermClass) -> bool:
-    memo = {}
-
-    def sep(p: Perm) -> bool:
-        if p in memo:
-            return memo[p]
-        if c.member(p):
-            result = True
-        else:
-            comps = components(p)
-            if len(comps) > 1 and all(sep(q) for q in comps):
-                result = True
-            else:
-                skews = components(p, "skew")
-                result = len(skews) > 1 and all(sep(q) for q in skews)
-        memo[p] = result
-        return result
-
-    return sep(pi)
-
-
+#: The tree nodes each closure splits.  C must hold the whole of every node
+#: the walk does not split, and, for the substitution closure, the skeleton
+#: of every node it does (12 or 21 for a sum node).
 _CLOSURES = {
-    "sum": lambda pi, c: _component_closure(pi, c, "direct"),
-    "skew": lambda pi, c: _component_closure(pi, c, "skew"),
-    "substitution": _substitution_closure,
-    "separable": _separable_closure,
+    "sum": ("plus",),
+    "skew": ("minus",),
+    "substitution": ("plus", "minus", "simple"),
+    "separable": ("plus", "minus"),
 }
 
 CLOSURE_KINDS = tuple(_CLOSURES)
 
 
 def closure_member(pi: Perm, c: PermClass, kind: str) -> bool:
-    """Membership in a closure of C.
+    """Membership in a closure of C, decided by one walk down the
+    substitution decomposition of π that splits a node wherever the closure
+    allows and asks C only about what it does not split.
 
     * ``sum``: every direct-sum component of π is in C.
     * ``skew``: every skew-sum component of π is in C.
-    * ``substitution``: every simple pattern of π is in C (lengths 4 and up,
-      plus 12, 21, and 1 where contained).
-    * ``separable``: π is in C, or π splits as a direct or skew sum with
-      both parts in the separable closure.
+    * ``separable``: π splits as a direct or skew sum of members of the
+      separable closure, or is in C.
+    * ``substitution``: the skeleton of every node of π's decomposition
+      tree is in C (1 for a leaf, 12 or 21 for a sum node, the simple
+      skeleton otherwise).
 
-    The empty permutation is in a closure of C exactly when it is in C.
+    This is exact because C is downward closed: every component and every
+    skeleton of a member of C is in C.  The walk recurses once per tree
+    level it splits, like :func:`permpat.perm.decompose_tree`.  The empty
+    permutation is in a closure of C exactly when it is in C.
 
     >>> closure_member((2, 4, 1, 3), avoiding((2, 4, 1, 3), (3, 1, 4, 2)), "substitution")
     False
@@ -410,27 +375,33 @@ def closure_member(pi: Perm, c: PermClass, kind: str) -> bool:
     """
     if kind not in _CLOSURES:
         raise ValueError(f"unknown closure kind {kind!r}; expected one of {CLOSURE_KINDS}")
-    return _CLOSURES[kind](pi, c) if pi else c.member(pi)
+    splits = _CLOSURES[kind]
+    substitution = "simple" in splits
 
+    def walk(p: Perm, cut: Optional[str]) -> bool:
+        if len(p) < 2:
+            return c.member(p)
+        split = _sum_split(p, cut)
+        if split is not None:
+            (node, direction, skeleton), parts = split
+            if node in splits:
+                return (not substitution or c.member(skeleton)) and all(
+                    walk(q, direction) for q in parts
+                )
+        elif substitution:
+            skeleton, blocks = _simple_split(p)
+            return c.member(skeleton) and all(walk(b, None) for b in blocks)
+        return c.member(p)
 
-#: The skeleton of each kind of tree node other than ``simple``.
-_SKELETONS = {"leaf": (1,), "plus": (1, 2), "minus": (2, 1)}
+    return walk(pi, None)
 
 
 def closure_member_tree(pi: Perm, c: PermClass) -> bool:
-    """Substitution-closure membership via the decomposition tree: true iff
-    the skeleton of every tree node is in C (1 for leaves, 12 or 21 for sum
-    and skew nodes, the simple skeleton otherwise).  Independent of the
-    simple-pattern test in :func:`closure_member`; the two must agree.
+    """Substitution-closure membership: ``closure_member(pi, c,
+    "substitution")``, true iff the skeleton of every node of π's
+    decomposition tree is in C.
     """
-    if len(pi) == 0:
-        return c.member(pi)
-
-    def walk(node) -> bool:
-        skeleton = _SKELETONS.get(node.kind, node.skeleton)
-        return c.member(skeleton) and all(walk(child) for child in node.children)
-
-    return walk(decompose_tree(pi))
+    return closure_member(pi, c, "substitution")
 
 
 def simples_in_class(

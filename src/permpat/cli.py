@@ -169,16 +169,11 @@ def _do_member(args) -> Outcome:
     return (0 if verdict else 1), [str(verdict).lower()], {"member": verdict}
 
 
-def _counts_by_length(
-    layers, args, what: str, cap: int, packed: bool = False
-) -> Tuple[List[str], dict]:
+def _counts_by_length(layers, args, what: str, cap: int) -> Tuple[List[str], dict]:
     """Count (and with ``--members`` list) the sorted members of each length
     n = 1..N, read from the iterator ``layers``.  N is refused above the size
-    cap, or above the layer generator's byte width when ``packed``, before
-    the first layer is read."""
+    cap before the first layer is read."""
     check_size(what, args.n, cap, args.max_n)
-    if packed:
-        cl.check_packed(args.n)
     lines = ["length,count"]
     out = {"counts": {}}
     if args.members:
@@ -196,14 +191,13 @@ def _do_enumerate(args) -> Outcome:
     c = _class_from_flag(args)
 
     def layers():
-        # one pass of the layer generator serves every length; packed
-        # permutations sort as their tuples do
+        # one pass of the layer generator serves every length, and refuses
+        # a length it cannot pack before the first; packed permutations sort
+        # as their tuples do
         for members, _ in itertools.islice(cl._class_layers(c, args.n), 1, None):
             yield sorted(members)
 
-    lines, out = _counts_by_length(
-        layers(), args, "enumerate", cl.ENUMERATE_MAX_N, packed=True
-    )
+    lines, out = _counts_by_length(layers(), args, "enumerate", cl.ENUMERATE_MAX_N)
     return 0, lines, out
 
 

@@ -506,8 +506,9 @@ class SubstitutionTree:
 
 #: The one leaf node every tree shares (nodes are frozen).
 _LEAF = SubstitutionTree("leaf")
-#: Node kind of each sum direction, in the order they are tried.
-_SUM_NODES = (("plus", "direct"), ("minus", "skew"))
+#: Node kind, sum direction and skeleton of each sum node, in the order they
+#: are tried.
+_SUM_NODES = (("plus", "direct", (1, 2)), ("minus", "skew", (2, 1)))
 
 
 def decompose_tree(pi: Perm) -> SubstitutionTree:
@@ -530,15 +531,36 @@ def decompose_tree(pi: Perm) -> SubstitutionTree:
 
 def _tree(pi: Perm, cut: Optional[str]) -> SubstitutionTree:
     """The tree of ``pi``, a component of a sum in direction ``cut`` (None
-    for a root or a block of a simple node); ``pi`` is indecomposable in
-    that direction, so it is not split along it again."""
+    for a root or a block of a simple node)."""
     if len(pi) == 1:
         return _LEAF
-    for kind, direction in _SUM_NODES:
-        if direction != cut:
-            parts = components(pi, direction)
+    split = _sum_split(pi, cut)
+    if split is not None:
+        (kind, direction, _), parts = split
+        return SubstitutionTree(kind, tuple(_tree(c, direction) for c in parts))
+    skeleton, blocks = _simple_split(pi)
+    return SubstitutionTree("simple", tuple(_tree(b, None) for b in blocks), skeleton)
+
+
+def _sum_split(pi: Perm, cut: Optional[str]) -> Optional[tuple]:
+    """The root split of ``pi`` when its root is a sum node: that node's row
+    of :data:`_SUM_NODES` and the components it splits ``pi`` into, or None.
+
+    ``pi`` is a component of a sum in direction ``cut`` (None for a root or
+    a block of a simple node), so it is indecomposable in that direction and
+    is not split along it again."""
+    for node in _SUM_NODES:
+        if node[1] != cut:
+            parts = components(pi, node[1])
             if len(parts) >= 2:
-                return SubstitutionTree(kind, tuple(_tree(c, direction) for c in parts))
+                return node, parts
+    return None
+
+
+def _simple_split(pi: Perm) -> tuple:
+    """The root split of a ``pi`` of length >= 2 that is neither a direct nor
+    a skew sum: its simple skeleton, of length >= 4, and its blocks, each
+    reduced, in position order."""
     # The maximal proper intervals of a sum- and skew-indecomposable pi are
     # disjoint and contain every proper interval, so the longest interval that
     # starts at a block's first position is that block (else a singleton).
@@ -551,7 +573,6 @@ def _tree(pi: Perm, cut: Optional[str]) -> SubstitutionTree:
         start = end
     lows = [min(block) for block in blocks]
     skeleton = reduce_sequence(lows)
-    children = tuple(_tree(tuple(v - low + 1 for v in b), None) for low, b in zip(lows, blocks))
     if not is_simple(skeleton) or len(skeleton) < 4:
         raise AssertionError(f"decomposition produced a bad skeleton for {pi!r}")
-    return SubstitutionTree("simple", children, skeleton)
+    return skeleton, [tuple(v - low + 1 for v in b) for low, b in zip(lows, blocks)]

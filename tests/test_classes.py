@@ -6,6 +6,7 @@ import random
 import pytest
 
 from permpat import classes as cl
+from permpat import perm as pm
 from permpat import (
     PermClass,
     SizeGuardError,
@@ -17,6 +18,7 @@ from permpat import (
     closure_member,
     closure_member_tree,
     contains,
+    decompose_tree,
     delete_entry,
     downward_closure,
     enumerate_grid,
@@ -34,6 +36,7 @@ from permpat import (
     simples_in_class,
     union_basis,
 )
+from permpat.suite import substitution_closure_by_patterns
 
 SEPARABLE = avoiding((2, 4, 1, 3), (3, 1, 4, 2))
 LINEAR = avoiding((3, 2, 1), (2, 3, 4, 1), (3, 4, 1, 2), (4, 1, 2, 3))
@@ -147,6 +150,8 @@ class TestUnionBasis:
         with pytest.raises(SizeGuardError) as info:
             union_basis(avoiding((1, 2, 3, 4, 5)), avoiding((5, 4, 3, 2, 1)))
         assert (info.value.actual, info.value.limit) == (10, 9)
+        # union_basis takes no max_n, so the refusal gives no hint to raise it
+        assert str(info.value).endswith("the cap is fixed")
 
 
 class TestPlusOne:
@@ -203,7 +208,9 @@ class TestClosures:
     def test_substitution_closure_matches_tree(self):
         c = avoiding((1, 2), (2, 1))  # only length-1 members
         for pi in [(1,), (1, 2), (2, 1), (2, 4, 1, 3), (1, 3, 2)]:
-            assert closure_member(pi, c, "substitution") == closure_member_tree(pi, c)
+            expected = substitution_closure_by_patterns(pi, c)
+            assert expected == (pi == (1,))
+            assert closure_member(pi, c, "substitution") == closure_member_tree(pi, c) == expected
 
     def test_substitution_closure_of_trivial_class(self):
         c = avoiding((1,))  # no nonempty members
@@ -219,6 +226,26 @@ class TestClosures:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             closure_member((1,), SEPARABLE, "transitive")
+
+    def test_forty_entries_decided_without_enumerating_patterns(self, monkeypatch):
+        def no_patterns(*args):
+            raise AssertionError("a closure decision enumerated patterns")
+
+        for module in (pm, cl):
+            for name in ("patterns_of_length", "all_patterns"):
+                monkeypatch.setattr(module, name, no_patterns, raising=False)
+        c = avoiding((3, 2, 1))
+        run = tuple(range(1, 21))
+        nested = pm.skew_sum(run, run)  # 21[1..20, 1..20], in Av(321)
+        uniform = list(range(1, 41))
+        random.Random(17).shuffle(uniform)
+        uniform = tuple(uniform)
+        # a simple root whose skeleton contains 321: no closure of Av(321)
+        # holds it
+        assert contains((3, 2, 1), decompose_tree(uniform).skeleton)
+        for kind in cl.CLOSURE_KINDS:
+            assert closure_member(nested, c, kind)
+            assert not closure_member(uniform, c, kind)
 
 
 class TestSimplesInClass:

@@ -3,6 +3,7 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -211,6 +212,23 @@ class TestClassVerbs:
         code, out, _ = run(capsys, "closure-member", "sum", "231", "--class", AV12_JSON)
         assert code == 1
 
+    def test_closure_member_forty_entries_without_patterns(self, capsys, monkeypatch):
+        def no_patterns(*args):
+            raise AssertionError("a closure decision enumerated patterns")
+
+        for module in (pm, cl):
+            for name in ("patterns_of_length", "all_patterns"):
+                monkeypatch.setattr(module, name, no_patterns, raising=False)
+        run_ = tuple(range(1, 21))
+        uniform = list(range(1, 41))
+        random.Random(17).shuffle(uniform)
+        # 21[1..20, 1..20] is in Av(321); the uniform one has a simple root
+        # whose skeleton contains 321
+        for perm, code in ((pm.skew_sum(run_, run_), 0), (uniform, 1)):
+            text = pm.format_perm(perm)
+            got, out, _ = run(capsys, "closure-member", "substitution", text, "--class", AV321_JSON)
+            assert (got, out.strip()) == (code, "false" if code else "true")
+
 
 class TestGridVerbs:
     def test_grid_member_witness(self, capsys):
@@ -408,6 +426,7 @@ class TestExitCodesAndGuards:
         code, out, err = run(capsys, "enumerate", "11", "--class", AV12_JSON)
         assert code == 3
         assert "size-guard refusal" in err
+        assert "raise the cap explicitly to override" in err
 
     def test_size_guard_refuses_before_any_length(self, capsys, monkeypatch):
         def no_work(*args, **kwargs):
@@ -427,20 +446,27 @@ class TestExitCodesAndGuards:
         assert code == 3 and "size-guard refusal" in err
 
     def test_length_above_byte_width_refused_before_any_length(self, capsys, monkeypatch):
-        def no_work(*args, **kwargs):
-            raise AssertionError("a length was enumerated before the refusal")
+        yielded, layers = [], cl._layers
 
-        monkeypatch.setattr(cl, "_class_layers", no_work)
+        def recorded(*args):
+            for layer in layers(*args):
+                yielded.append(layer)
+                yield layer
+
+        monkeypatch.setattr(cl, "_layers", recorded)
         code, out, err = run(
             capsys, "enumerate", "256", "--class", AV12_JSON, "--max-n", "256"
         )
         assert code == 2 and out == "" and "255" in err
+        assert yielded == []
 
     def test_pattern_deeper_than_recursion_limit_exit_three(self, capsys):
         text = " ".join(map(str, range(1, 1301)))
         code, out, err = run(capsys, "contains", text[: text.index(" 1201")], text)
         assert code == 3 and out == ""
         assert err.startswith("size-guard refusal") and len(err.splitlines()) == 1
+        # contains takes no --max-n, so the refusal gives no hint to raise it
+        assert err.rstrip().endswith("the cap is fixed")
 
     def test_tree_deeper_than_recursion_limit_exit_three(self, capsys):
         chain = (1,)  # 1 + (1 - (1 + ...)): one tree level per entry
