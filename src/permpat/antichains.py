@@ -179,9 +179,9 @@ def labeled_antichain_member(k: int) -> LabeledPermutation:
         raise ValueError("index must be at least 1")
     pi = _oscillation_path_perm(k + 1)
     g = inversion_graph(pi)
-    labels = tuple(
+    labels = tuple([
         FILLED if g.degree(v) <= 1 else HOLLOW for v in range(1, len(pi) + 1)
-    )
+    ])
     return LabeledPermutation(pi, labels)
 
 

@@ -451,4 +451,4 @@ def class_from_json(data) -> PermClass:
         isinstance(b, list) and not any(isinstance(v, bool) for v in b) for b in basis
     ):
         raise ValueError("a class is an object whose basis is an array of arrays of integers")
-    return PermClass(tuple(tuple(b) for b in basis), data.get("name"))
+    return PermClass(tuple([tuple(b) for b in basis]), data.get("name"))

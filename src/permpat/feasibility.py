@@ -42,7 +42,7 @@ def _unit_rows(nvars: int, constraints: Iterable[Constraint]) -> tuple:
             raise ValueError(f"not a unit two-variable row: {tuple(coeffs)} < {rhs}")
         if scale != 1 or not isinstance(rhs, int):
             rhs = Fraction(rhs) / scale
-        rows.append((tuple((i, 1 if c > 0 else -1) for i, c in nonzero), rhs, scale))
+        rows.append((tuple([(i, 1 if c > 0 else -1) for i, c in nonzero]), rhs, scale))
     return tuple(rows)
 
 
@@ -87,9 +87,9 @@ def _decide(nvars: int, constraints: Iterable[Constraint]) -> tuple:
                 pred[edge[1]] = edge
                 last = edge[1]
         if last is None:
-            return tuple(
+            return tuple([
                 Fraction(dist[2 * i] - dist[2 * i + 1], 2 * k * den) for i in range(nvars)
-            ), None
+            ]), None
 
     # Walking back 2·nvars predecessor edges from the last relaxed node
     # lands on a cycle of the predecessor graph, and such a cycle is negative.
@@ -116,9 +116,9 @@ def _certificate(rows: tuple, multipliers: dict) -> tuple:
             coeffs[i] = coeffs.get(i, 0) + mult * s
     if any(coeffs.values()) or total > 0:
         raise RuntimeError(f"refutation does not sum to 0 < c <= 0: {coeffs}, {total}")
-    return tuple(
+    return tuple([
         (index, Fraction(mult) / rows[index][2]) for index, mult in sorted(multipliers.items())
-    )
+    ])
 
 
 def solve_strict(

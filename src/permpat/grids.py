@@ -47,7 +47,7 @@ class ZeroPmOneMatrix:
     def __post_init__(self):
         if self.cols < 1 or self.rows < 1:
             raise ValueError("need at least one column and one row")
-        signs = tuple(tuple(col) for col in self.signs)
+        signs = tuple([tuple(col) for col in self.signs])
         if len(signs) != self.cols or any(len(col) != self.rows for col in signs):
             raise ValueError("signs shape must be cols x rows")
         for col in signs:
@@ -62,12 +62,12 @@ class ZeroPmOneMatrix:
         return self.signs[k - 1][l - 1]
 
     def nonzero_cells(self) -> tuple:
-        return tuple(
+        return tuple([
             (k, l)
             for k in range(1, self.cols + 1)
             for l in range(1, self.rows + 1)
             if self.entry(k, l) != 0
-        )
+        ])
 
 
 def matrix_from_rows_top_first(rows: Iterable[Iterable[int]]) -> ZeroPmOneMatrix:
@@ -80,9 +80,9 @@ def matrix_from_rows_top_first(rows: Iterable[Iterable[int]]) -> ZeroPmOneMatrix
     t = len(grid[0])
     if any(len(r) != t for r in grid):
         raise ValueError("ragged rows")
-    signs = tuple(
-        tuple(grid[u - l][k - 1] for l in range(1, u + 1)) for k in range(1, t + 1)
-    )
+    signs = tuple([
+        tuple([grid[u - l][k - 1] for l in range(1, u + 1)]) for k in range(1, t + 1)
+    ])
     return ZeroPmOneMatrix(t, u, signs)
 
 
@@ -118,10 +118,10 @@ def all_matrices(max_cols: int, max_rows: int) -> Iterator[ZeroPmOneMatrix]:
     for t in range(1, max_cols + 1):
         for u in range(1, max_rows + 1):
             for flat in itertools.product(VALID_ENTRIES, repeat=t * u):
-                signs = tuple(
-                    tuple(flat[(k - 1) * u + (l - 1)] for l in range(1, u + 1))
+                signs = tuple([
+                    tuple([flat[(k - 1) * u + (l - 1)] for l in range(1, u + 1)])
                     for k in range(1, t + 1)
-                )
+                ])
                 yield ZeroPmOneMatrix(t, u, signs)
 
 
@@ -156,7 +156,7 @@ class GriddedPermutation:
     def __post_init__(self):
         if len(self.cells) != len(self.perm):
             raise ValueError("one cell per permutation entry required")
-        object.__setattr__(self, "cells", tuple(tuple(c) for c in self.cells))
+        object.__setattr__(self, "cells", tuple([tuple(c) for c in self.cells]))
 
 
 def validate_gridded(gp: GriddedPermutation, m: ZeroPmOneMatrix) -> bool:
@@ -189,7 +189,8 @@ def _line_fits(reading_order, signs) -> bool:
     """Whether a line whose nonzero cells have ``signs`` can hold the
     entries it reads in ``reading_order``: a line with no nonzero cell must
     be empty, and a line with one must be monotone in that cell's sign.  A
-    line with more cells is not tested; :func:`validate_gridded` decides it.
+    line with more cells is not tested here: :func:`_griddings` decides each
+    pair of cuts inline, cell by cell.
 
     >>> _line_fits((1, 3, 2), (1,)), _line_fits((3, 2), (-1,)), _line_fits((1,), ())
     (False, True, False)
@@ -241,10 +242,14 @@ def _griddings(pi: Perm, m: ZeroPmOneMatrix) -> Iterator[GriddedPermutation]:
     tested on its own as its cut is built (a column reads its entries by
     value, a row by position), so a cut that leaves an entry in a line with
     no nonzero cell, or a non-monotone line with one, is dropped before any
-    pair is built.  Every pair of fitting cuts is still checked by
-    :func:`validate_gridded`.  The row cuts are built once, only as the
-    first fitting column cut reads them, so a search that stops early builds
-    no cut list."""
+    pair is built.  Each pair of fitting cuts is then decided inline, in one
+    pass over the entries in position order: the pair is dropped at the
+    first entry whose cell is zero, or whose value is out of its cell's
+    monotone order (rising in a +1 cell, falling in a −1 cell).  Only a
+    legal gridding is built, and :func:`validate_gridded` rechecks each one
+    that is yielded.  The row cuts are built once, only as the first fitting
+    column cut reads them, so a search that stops early builds no cut
+    list."""
     inv = sorted(range(1, len(pi) + 1), key=lambda i: pi[i - 1])
     columns = [[s for s in col if s] for col in m.signs]
     rows = [[col[l] for col in m.signs if col[l]] for l in range(m.rows)]
@@ -258,9 +263,18 @@ def _griddings(pi: Perm, m: ZeroPmOneMatrix) -> Iterator[GriddedPermutation]:
 
     for col_of_pos in _fitting_cuts(pi, inv, columns):
         for row_of_value in row_cuts():
-            cells = tuple(zip(col_of_pos, [row_of_value[v - 1] for v in pi]))
-            gp = GriddedPermutation(pi, cells)
-            if validate_gridded(gp, m):
+            cells, last = [], {}
+            for k, v in zip(col_of_pos, pi):
+                cell = (k, row_of_value[v - 1])
+                sign = m.signs[k - 1][cell[1] - 1]
+                if not sign or (v - last.get(cell, v)) * sign < 0:
+                    break
+                last[cell] = v
+                cells.append(cell)
+            else:
+                gp = GriddedPermutation(pi, cells)
+                if not validate_gridded(gp, m):
+                    raise RuntimeError(f"gridding of {pi} fails its own recheck: {gp.cells}")
                 yield gp
 
 
@@ -377,7 +391,7 @@ def _orientation(m: ZeroPmOneMatrix) -> Optional[tuple]:
                     col[k], spread = m.entry(k, l) * row[l], 1
     if any(col[k] * row[l] != m.entry(k, l) for k, l in cells):
         return None
-    return tuple(col[1:]), tuple(s or 1 for s in row[1:])
+    return tuple(col[1:]), tuple([s or 1 for s in row[1:]])
 
 
 def _drawn_layers(
@@ -416,7 +430,7 @@ def _drawn_layers(
             row_cut = list(itertools.accumulate(rs, initial=0))
             for k, before_k, l, before_l in ends:
                 pos, val = col_cut[before_k], row_cut[before_l]
-                lifted = tuple(v + (v > val) for v in perm)
+                lifted = tuple([v + (v > val) for v in perm])
                 drawn = lifted[:pos] + (val + 1,) + lifted[pos:]
                 if length < n:
                     drawn = (

@@ -66,7 +66,7 @@ class Graph:
         )
         labels = None
         if self.labels is not None:
-            labels = tuple(self.labels[v - 1] for v in vertices)
+            labels = tuple([self.labels[v - 1] for v in vertices])
         return Graph(len(vertices), edges, labels)
 
 

@@ -129,7 +129,7 @@ def _label_from_json(value):
     """A decoded JSON value as a label: arrays become tuples, recursively,
     since labels and poset elements are compared and looked up by hash."""
     if isinstance(value, list):
-        return tuple(_label_from_json(v) for v in value)
+        return tuple([_label_from_json(v) for v in value])
     if not isinstance(value, Hashable):
         raise ValueError(f"label {value!r} is not hashable")
     return value
@@ -203,7 +203,7 @@ def labeled_to_json(p: LabeledPermutation) -> dict:
 
 
 def constant_labels(pi: Perm, label) -> LabeledPermutation:
-    return LabeledPermutation(pi, tuple(label for _ in pi))
+    return LabeledPermutation(pi, tuple([label for _ in pi]))
 
 
 def labeled_containment_witness(
@@ -303,7 +303,7 @@ def last_entry_encoding(beta: Perm) -> LabeledPermutation:
         raise ValueError("needs a nonempty permutation")
     last = beta[-1]
     body = delete_entry(beta, len(beta))
-    labels = tuple(HOLLOW if v < last else FILLED for v in beta[:-1])
+    labels = tuple([HOLLOW if v < last else FILLED for v in beta[:-1]])
     return LabeledPermutation(body, labels)
 
 
@@ -332,7 +332,7 @@ def strip_zero_labels(p: LabeledPermutation, zero) -> LabeledPermutation:
     keep = [i for i, lab in enumerate(p.labels) if lab != zero]
     return LabeledPermutation(
         reduce_sequence([p.perm[i] for i in keep]),
-        tuple(p.labels[i] for i in keep),
+        tuple([p.labels[i] for i in keep]),
     )
 
 
@@ -388,11 +388,11 @@ def compass_encoding(p: LabeledPermutation, a: int) -> LabeledPermutation:
     pi_a = pi[a - 1]
     label_a = p.labels[a - 1]
     body = delete_entry(pi, a)
-    labels = tuple(
+    labels = tuple([
         (p.labels[i], label_a, compass_direction(i + 1, pi[i], a, pi_a))
         for i in range(len(pi))
         if i != a - 1
-    )
+    ])
     return LabeledPermutation(body, labels)
 
 

@@ -90,7 +90,7 @@ def reduce_sequence(seq: Sequence[Numeric]) -> Perm:
     if len(set(seq)) != len(seq):
         raise ValueError(f"entries are not pairwise distinct: {seq!r}")
     rank = {v: i + 1 for i, v in enumerate(sorted(seq))}
-    return tuple(rank[v] for v in seq)
+    return tuple([rank[v] for v in seq])
 
 
 def _slot_bounds(sigma: Perm) -> tuple[list[int], list[int]]:
@@ -163,7 +163,7 @@ def _witness(sigma: Perm, pi: Perm, fits: Optional[Callable] = None) -> Optional
         return False
 
     if dfs(0, 0):
-        return tuple(pos + 1 for pos in chosen)
+        return tuple([pos + 1 for pos in chosen])
     return None
 
 
@@ -280,7 +280,7 @@ def direct_sum(sigma: Perm, tau: Perm) -> Perm:
     (4, 5, 3, 1, 2, 7, 8, 9, 6)
     """
     k = len(sigma)
-    return sigma + tuple(v + k for v in tau)
+    return sigma + tuple([v + k for v in tau])
 
 
 def skew_sum(sigma: Perm, tau: Perm) -> Perm:
@@ -290,7 +290,7 @@ def skew_sum(sigma: Perm, tau: Perm) -> Perm:
     (2, 1)
     """
     m = len(tau)
-    return tuple(v + m for v in sigma) + tau
+    return tuple([v + m for v in sigma]) + tau
 
 
 _SUMS = {"direct": direct_sum, "skew": skew_sum}
@@ -325,7 +325,7 @@ def components(pi: Perm, direction: str = "direct") -> list:
         extreme = max(extreme, v if direction == "direct" else n + 1 - v)
         if extreme == i + 1:
             offset = start if direction == "direct" else n - 1 - i
-            out.append(tuple(w - offset for w in pi[start : i + 1]))
+            out.append(tuple([w - offset for w in pi[start : i + 1]]))
             start = i + 1
     return out
 
@@ -364,7 +364,7 @@ def one_point_extensions(pi: Perm) -> set:
     n = len(pi)
     out = set()
     for value in range(1, n + 2):
-        bumped = tuple(v + 1 if v >= value else v for v in pi)
+        bumped = tuple([v + 1 if v >= value else v for v in pi])
         for pos in range(n + 1):
             out.add(bumped[:pos] + (value,) + bumped[pos:])
     return out
@@ -537,9 +537,9 @@ def _tree(pi: Perm, cut: Optional[str]) -> SubstitutionTree:
     split = _sum_split(pi, cut)
     if split is not None:
         (kind, direction, _), parts = split
-        return SubstitutionTree(kind, tuple(_tree(c, direction) for c in parts))
+        return SubstitutionTree(kind, tuple([_tree(c, direction) for c in parts]))
     skeleton, blocks = _simple_split(pi)
-    return SubstitutionTree("simple", tuple(_tree(b, None) for b in blocks), skeleton)
+    return SubstitutionTree("simple", tuple([_tree(b, None) for b in blocks]), skeleton)
 
 
 def _sum_split(pi: Perm, cut: Optional[str]) -> Optional[tuple]:
@@ -575,4 +575,4 @@ def _simple_split(pi: Perm) -> tuple:
     skeleton = reduce_sequence(lows)
     if not is_simple(skeleton) or len(skeleton) < 4:
         raise AssertionError(f"decomposition produced a bad skeleton for {pi!r}")
-    return skeleton, [tuple(v - low + 1 for v in b) for low, b in zip(lows, blocks)]
+    return skeleton, [tuple([v - low + 1 for v in b]) for low, b in zip(lows, blocks)]

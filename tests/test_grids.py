@@ -213,6 +213,16 @@ class TestMonotoneGridding:
         # meets grids the identity, so the other row cuts are never built
         self._assert_identity_gridded_in_little_memory(ZeroPmOneMatrix(1, 10, ((1,) * 10,)))
 
+    @staticmethod
+    def _fitting_pairs(pi, m):
+        """How many (column cut, row cut) pairs of fitting cuts ``pi`` has."""
+        inv = sorted(range(1, len(pi) + 1), key=lambda i: pi[i - 1])
+        columns = [[s for s in col if s] for col in m.signs]
+        rows = [[col[l] for col in m.signs if col[l]] for l in range(m.rows)]
+        return sum(1 for _ in grids._fitting_cuts(pi, inv, columns)) * sum(
+            1 for _ in grids._fitting_cuts(inv, pi, rows)
+        )
+
     def test_pairs_built_only_from_fitting_cuts(self, monkeypatch):
         calls = []
 
@@ -225,16 +235,23 @@ class TestMonotoneGridding:
         assert grid_member((2, 1), ZeroPmOneMatrix(1, 1, ((1,),))) is None
         assert calls == []
         # over S6: every line of X has two nonzero cells, so all 720 · 49
-        # (column cut, row cut) pairs are built; on a 3×2 matrix with two
-        # one-cell columns, 37 072 of its 720 · 28 · 7 pairs are built
-        for rows, built, found in (
+        # (column cut, row cut) pairs fit; on a 3×2 matrix with two one-cell
+        # columns, 37 072 of its 720 · 28 · 7 pairs fit.  Each pair is
+        # decided inline, so only the griddings found are built and rechecked
+        for rows, pairs, found in (
             ([[-1, 1], [1, -1]], 35_280, 2_092),
             ([[1, 0, -1], [0, 1, 1]], 37_072, 1_093),
         ):
             m = matrix_from_rows_top_first(rows)
             calls.clear()
             griddings = sum(len(list(grids._griddings(pi, m))) for pi in all_perms(6))
-            assert (len(calls), griddings) == (built, found), rows
+            assert sum(self._fitting_pairs(pi, m) for pi in all_perms(6)) == pairs, rows
+            assert (len(calls), griddings) == (found, found), rows
+
+    def test_failed_recheck_raises(self, monkeypatch):
+        monkeypatch.setattr(grids, "validate_gridded", lambda gp, m: False)
+        with pytest.raises(RuntimeError, match="fails its own recheck"):
+            grid_member((1, 2), ZeroPmOneMatrix(1, 1, ((1,),)))
 
     def test_member_witness(self):
         gp = grid_member((3, 1, 4, 2), X_MATRIX)
