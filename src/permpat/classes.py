@@ -446,9 +446,14 @@ def class_to_json(c: PermClass) -> dict:
 def class_from_json(data) -> PermClass:
     if isinstance(data, str):
         data = json.loads(data)
-    basis = data["basis"] if isinstance(data, dict) else None
-    if not isinstance(basis, list) or not all(
-        isinstance(b, list) and not any(isinstance(v, bool) for v in b) for b in basis
+    basis = data.get("basis") if isinstance(data, dict) else None
+    if not (
+        isinstance(basis, list)
+        and all(isinstance(b, list) and not any(isinstance(v, bool) for v in b) for b in basis)
+        and isinstance(data.get("name", ""), str)
     ):
-        raise ValueError("a class is an object whose basis is an array of arrays of integers")
+        raise ValueError(
+            "a class is an object whose basis is an array of arrays of integers"
+            " and whose optional name is a string"
+        )
     return PermClass(tuple([tuple(b) for b in basis]), data.get("name"))

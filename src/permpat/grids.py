@@ -97,11 +97,17 @@ def matrix_to_json(m: ZeroPmOneMatrix) -> dict:
 def matrix_from_json(data) -> ZeroPmOneMatrix:
     if isinstance(data, str):
         data = json.loads(data)
-    rows = data["entries"] if isinstance(data, dict) else None
-    if not isinstance(rows, list) or not all(
-        isinstance(r, list) and not any(isinstance(e, bool) for e in r) for r in rows
+    rows = data.get("entries") if isinstance(data, dict) else None
+    if not (
+        isinstance(rows, list)
+        and all(isinstance(r, list) and not any(isinstance(e, bool) for e in r) for r in rows)
+        and type(data.get("cols")) is int
+        and type(data.get("rows")) is int
     ):
-        raise ValueError("a matrix is an object whose entries are rows (arrays) of -1, 0 and 1")
+        raise ValueError(
+            "a matrix is an object whose cols and rows are integers and whose"
+            " entries are rows (arrays) of -1, 0 and 1"
+        )
     m = matrix_from_rows_top_first(rows)
     if m.cols != data["cols"] or m.rows != data["rows"]:
         raise ValueError("declared cols/rows disagree with entries shape")
@@ -163,10 +169,20 @@ def validate_gridded(gp: GriddedPermutation, m: ZeroPmOneMatrix) -> bool:
     """Independent re-check of every gridding invariant: cells inside the
     matrix and nonzero, column assignment weakly increasing in position, row
     assignment weakly increasing in value, and each cell's content monotone
-    per its sign."""
+    per its sign.  A gridding whose ``perm`` is not a permutation of 1..n,
+    or whose cells are not pairs of integers, is rejected too.
+
+    >>> validate_gridded(GriddedPermutation((1, 3), ((1, 1), (1, 1))), X_MATRIX)
+    False
+    """
     pi = gp.perm
     n = len(pi)
-    for k, l in gp.cells:
+    if any(type(v) is not int for v in pi) or set(pi) != set(range(1, n + 1)):
+        return False
+    for cell in gp.cells:
+        if len(cell) != 2 or any(type(x) is not int for x in cell):
+            return False
+        k, l = cell
         if not (1 <= k <= m.cols and 1 <= l <= m.rows) or m.entry(k, l) == 0:
             return False
     for i in range(n - 1):
@@ -186,20 +202,28 @@ def validate_gridded(gp: GriddedPermutation, m: ZeroPmOneMatrix) -> bool:
 
 
 def _line_fits(reading_order, signs) -> bool:
-    """Whether a line whose nonzero cells have ``signs`` can hold the
-    entries it reads in ``reading_order``: a line with no nonzero cell must
-    be empty, and a line with one must be monotone in that cell's sign.  A
-    line with more cells is not tested here: :func:`_griddings` decides each
-    pair of cuts inline, cell by cell.
+    """Whether a line whose nonzero cells have ``signs``, in order along the
+    line, can hold the entries it reads in ``reading_order``: the entries
+    must split into consecutive bands, one per cell and possibly empty, each
+    monotone in its cell's sign.  Each cell in turn takes the longest
+    monotone run from where the last one stopped, and the line fits when
+    the runs use up every entry.  The greedy split is exact, since a subset
+    of a monotone run is monotone; a line with no nonzero cell must be
+    empty.
 
     >>> _line_fits((1, 3, 2), (1,)), _line_fits((3, 2), (-1,)), _line_fits((1,), ())
     (False, True, False)
+    >>> _line_fits((1, 3, 2), (1, -1)), _line_fits((1, 3, 2, 4), (1, -1))
+    (True, False)
     """
-    if len(signs) > 1:
-        return True
-    if not signs:
-        return not reading_order
-    return all((b - a) * signs[0] > 0 for a, b in zip(reading_order, reading_order[1:]))
+    n, i = len(reading_order), 0
+    for s in signs:
+        if i == n:
+            break
+        i += 1
+        while i < n and (reading_order[i] - reading_order[i - 1]) * s > 0:
+            i += 1
+    return i == n
 
 
 def _fitting_cuts(perm, inv, lines: list, k: int = 0, a: int = 0) -> Iterator[tuple]:
@@ -211,10 +235,12 @@ def _fitting_cuts(perm, inv, lines: list, k: int = 0, a: int = 0) -> Iterator[tu
 
     ``lines[k]`` lists line k+1's nonzero signs, and a run fits when its
     entries read by value (their positions, via the inverse ``inv``) pass
-    :func:`_line_fits`.  A gridding cuts columns this way, and its rows are
-    the same cut of the inverse permutation, read by position.  A longer run
-    from the same start holds every entry of a run that fails, so it fails
-    too, and the search moves on without building it or its continuations.
+    :func:`_line_fits`, that is, when they split into one monotone band per
+    nonzero cell.  A gridding cuts columns this way, and its rows are the
+    same cut of the inverse permutation, read by position.  A longer run
+    from the same start holds every entry of a run that fails, and removing
+    entries from a band keeps it monotone, so the longer run fails too: the
+    search moves on without building it or its continuations.
 
     >>> list(_fitting_cuts((1, 2), (1, 2), [[1], [1]]))
     [(2, 2), (1, 2), (1, 1)]
@@ -240,8 +266,8 @@ def _griddings(pi: Perm, m: ZeroPmOneMatrix) -> Iterator[GriddedPermutation]:
     """All legal griddings, column cuts outer, value cuts inner, both in
     lexicographic order of their part sizes.  Each column and each row is
     tested on its own as its cut is built (a column reads its entries by
-    value, a row by position), so a cut that leaves an entry in a line with
-    no nonzero cell, or a non-monotone line with one, is dropped before any
+    value, a row by position), so a cut that leaves some line unable to
+    split into one monotone band per nonzero cell is dropped before any
     pair is built.  Each pair of fitting cuts is then decided inline, in one
     pass over the entries in position order: the pair is dropped at the
     first entry whose cell is zero, or whose value is out of its cell's

@@ -422,11 +422,24 @@ def graph_to_json(g: Graph) -> dict:
 def graph_from_json(data) -> Graph:
     if isinstance(data, str):
         data = json.loads(data)
-    n = data["n"]
+    n, adjacency, labels = (
+        (data.get("n"), data.get("adjacency"), data.get("labels"))
+        if isinstance(data, dict) else (None, None, None)
+    )
+    if not (
+        type(n) is int
+        and isinstance(adjacency, list)
+        and len(adjacency) == n
+        and all(isinstance(neigh, list) and all(type(v) is int for v in neigh) for neigh in adjacency)
+        and (labels is None or isinstance(labels, list))
+    ):
+        raise ValueError(
+            "a graph is an object whose n is an integer, whose adjacency is one array"
+            " of integer neighbours per vertex, and whose optional labels are an array"
+        )
     edges = {
         (min(u, v), max(u, v))
-        for u, neigh in enumerate(data["adjacency"], start=1)
+        for u, neigh in enumerate(adjacency, start=1)
         for v in neigh
     }
-    labels = _label_from_json(data["labels"]) if "labels" in data else None
-    return Graph(n, frozenset(edges), labels)
+    return Graph(n, frozenset(edges), None if labels is None else _label_from_json(labels))

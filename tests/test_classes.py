@@ -63,6 +63,14 @@ class TestPermClass:
         c2 = class_from_json(class_to_json(c))
         assert c2.basis == c.basis and c2.name == "separable"
 
+    @pytest.mark.parametrize(
+        "data",
+        [{}, {"basis": [[1, 2], "21"]}, {"basis": [[1, 2]], "name": 3}, [[1, 2]]],
+    )
+    def test_json_missing_or_ill_typed_field(self, data):
+        with pytest.raises(ValueError, match="a class is an object"):
+            class_from_json(data)
+
 
 class TestEnumeration:
     def test_catalan(self):

@@ -73,6 +73,22 @@ class TestMatrixConstruction:
         text = '{"cols": 1, "rows": 1, "entries": [[-1]]}'
         assert matrix_from_json(text) == matrix_from_rows_top_first([[-1]])
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"rows": 1, "entries": [[1]]},
+            {"cols": 1, "entries": [[1]]},
+            {"cols": 1, "rows": 1},
+            {"cols": "1", "rows": 1, "entries": [[1]]},
+            {"cols": 1, "rows": True, "entries": [[1]]},
+            {"cols": 1, "rows": 1, "entries": [1]},
+            [[1]],
+        ],
+    )
+    def test_json_missing_or_ill_typed_field(self, data):
+        with pytest.raises(ValueError, match="a matrix is an object"):
+            matrix_from_json(data)
+
     def test_json_shape_mismatch(self):
         with pytest.raises(ValueError):
             matrix_from_json({"cols": 3, "rows": 2, "entries": [[-1, 1], [1, -1]]})
@@ -183,10 +199,54 @@ class TestAgainstOracles:
             many += len(self._assert_same_griddings(pi, m)) > 1
         assert many > 0
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[list(signs)] for signs in itertools.product((1, -1), repeat=3)]
+        + [[[s] for s in signs] for signs in itertools.product((1, -1), repeat=3)]
+        + [[[1, 1, 1], [1, -1, 1], [1, 1, 1]]],
+    )
+    # the single line of each 1×3 and 3×1 matrix with no zero entry, and
+    # every line of the 3×3 one, has three nonzero cells
+    def test_griddings_with_three_cells_in_a_line(self, rows):
+        m = matrix_from_rows_top_first(rows)
+        for n in range(6):
+            for pi in all_perms(n):
+                self._assert_same_griddings(pi, m)
+
     def test_cell_graphs_every_matrix_up_to_three_by_three(self):
         for m in all_matrices(3, 3):
             g = cell_graph(m)
             assert (g.n, g.edges, g.labels) == cell_graph_by_scan(m), m
+
+
+def line_fits_by_splits(order, signs):
+    """Oracle: some split of ``order`` into ``len(signs)`` consecutive,
+    possibly empty, parts has each part monotone in its sign."""
+    if not signs:
+        return not order
+    for sizes in _compositions(len(order), len(signs)):
+        start, ok = 0, True
+        for size, s in zip(sizes, signs):
+            part = order[start:start + size]
+            ok = ok and all((b - a) * s > 0 for a, b in zip(part, part[1:]))
+            start += size
+        if ok:
+            return True
+    return False
+
+
+class TestBandTest:
+    def test_line_fits_against_every_split(self):
+        cases = 0
+        for n in range(7):
+            for order in all_perms(n):
+                for length in range(4):
+                    for signs in itertools.product((1, -1), repeat=length):
+                        assert grids._line_fits(order, signs) == line_fits_by_splits(
+                            order, signs
+                        ), (order, signs)
+                        cases += 1
+        assert cases == 13_110
 
 
 class TestMonotoneGridding:
@@ -234,13 +294,14 @@ class TestMonotoneGridding:
         # the one column cut leaves a decreasing column in a +1 cell
         assert grid_member((2, 1), ZeroPmOneMatrix(1, 1, ((1,),))) is None
         assert calls == []
-        # over S6: every line of X has two nonzero cells, so all 720 · 49
-        # (column cut, row cut) pairs fit; on a 3×2 matrix with two one-cell
-        # columns, 37 072 of its 720 · 28 · 7 pairs fit.  Each pair is
-        # decided inline, so only the griddings found are built and rechecked
+        # over S6: each line keeps only the cuts whose entries split into one
+        # monotone band per nonzero cell, which leaves 3 074 of X's 720 · 49
+        # (column cut, row cut) pairs and 6 900 of the 720 · 28 · 7 pairs of
+        # a 3×2 matrix.  Each pair is decided inline, so only the griddings
+        # found are built and rechecked
         for rows, pairs, found in (
-            ([[-1, 1], [1, -1]], 35_280, 2_092),
-            ([[1, 0, -1], [0, 1, 1]], 37_072, 1_093),
+            ([[-1, 1], [1, -1]], 3_074, 2_092),
+            ([[1, 0, -1], [0, 1, 1]], 6_900, 1_093),
         ):
             m = matrix_from_rows_top_first(rows)
             calls.clear()
@@ -299,6 +360,17 @@ class TestMonotoneGridding:
     def test_validate_rejects_cell_outside_matrix(self):
         for cells in (((3, 1), (1, 1)), ((1, 1), (1, 3)), ((0, 1), (1, 1)), ((1, 0), (1, 1))):
             assert not validate_gridded(GriddedPermutation((1, 2), cells), X_MATRIX), cells
+
+    def test_validate_rejects_malformed_griddings(self):
+        # a gap, a repeat, a 0 and entries that are not integers: each is
+        # refused, never raised on
+        for perm in ((1, 3), (1, 1), (0, 1), (1.0, 2), ([1], 2)):
+            gp = GriddedPermutation(perm, ((1, 1), (1, 1)))
+            assert validate_gridded(gp, X_MATRIX) is False, perm
+        # cells that are not pairs of integers
+        for cell in ((1, 1, 1), (1,), ("a", 1), (1.5, 1), (True, 1)):
+            gp = GriddedPermutation((1,), (cell,))
+            assert validate_gridded(gp, X_MATRIX) is False, cell
 
     def test_cells_length_checked(self):
         with pytest.raises(ValueError):

@@ -101,6 +101,23 @@ class TestGraphBasics:
         h = graph_from_json(json.loads(json.dumps(graph_to_json(g))))
         assert h == g
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n": 2},
+            {"adjacency": [[2], [1]]},
+            {"n": "2", "adjacency": [[2], [1]]},
+            {"n": 2, "adjacency": [[2]]},
+            {"n": 2, "adjacency": [2, 1]},
+            {"n": 2, "adjacency": [["2"], [1]]},
+            {"n": 2, "adjacency": [[2], [1]], "labels": "ab"},
+            [[2], [1]],
+        ],
+    )
+    def test_json_missing_or_ill_typed_field(self, data):
+        with pytest.raises(ValueError, match="a graph is an object"):
+            graph_from_json(data)
+
     def test_dot_is_deterministic(self):
         g = cycle_graph(4)
         assert to_dot(g) == to_dot(g)
