@@ -55,6 +55,14 @@ class ZeroPmOneMatrix:
                 if e not in VALID_ENTRIES:
                     raise ValueError(f"matrix entries must be -1, 0, or 1; got {e!r}")
         object.__setattr__(self, "signs", signs)
+        # the nonzero signs along each column (bottom to top) and each row
+        # (left to right), which is all the line test of a gridding reads
+        object.__setattr__(self, "_column_lines", tuple([tuple([s for s in col if s]) for col in signs]))
+        object.__setattr__(
+            self,
+            "_row_lines",
+            tuple([tuple([col[l] for col in signs if col[l]]) for l in range(self.rows)]),
+        )
 
     def entry(self, k: int, l: int) -> int:
         if not (1 <= k <= self.cols and 1 <= l <= self.rows):
@@ -170,35 +178,31 @@ def validate_gridded(gp: GriddedPermutation, m: ZeroPmOneMatrix) -> bool:
     matrix and nonzero, column assignment weakly increasing in position, row
     assignment weakly increasing in value, and each cell's content monotone
     per its sign.  A gridding whose ``perm`` is not a permutation of 1..n,
-    or whose cells are not pairs of integers, is rejected too.
+    or whose cells are not pairs of integers, is rejected too.  One pass
+    over the entries in position order checks all of it but the rows, and
+    keeps the last value seen in each cell and the row of each value; the
+    rows are then read in value order.
 
     >>> validate_gridded(GriddedPermutation((1, 3), ((1, 1), (1, 1))), X_MATRIX)
     False
     """
     pi = gp.perm
     n = len(pi)
-    if any(type(v) is not int for v in pi) or set(pi) != set(range(1, n + 1)):
-        return False
-    for cell in gp.cells:
-        if len(cell) != 2 or any(type(x) is not int for x in cell):
+    row_of_value = [0] * n
+    last, col = {}, 1
+    for v, cell in zip(pi, gp.cells):
+        if type(v) is not int or not 0 < v <= n or row_of_value[v - 1] or len(cell) != 2:
             return False
         k, l = cell
-        if not (1 <= k <= m.cols and 1 <= l <= m.rows) or m.entry(k, l) == 0:
+        if type(k) is not int or type(l) is not int:
             return False
-    for i in range(n - 1):
-        if gp.cells[i][0] > gp.cells[i + 1][0]:
+        if not (col <= k <= m.cols and 1 <= l <= m.rows):
             return False
-    row_of_value = {pi[i]: gp.cells[i][1] for i in range(n)}
-    for v in range(1, n):
-        if row_of_value[v] > row_of_value[v + 1]:
+        sign = m.signs[k - 1][l - 1]
+        if not sign or (v - last.get(cell, v)) * sign < 0:
             return False
-    for cell in set(gp.cells):
-        content = [pi[i] for i in range(n) if gp.cells[i] == cell]
-        sign = m.entry(*cell)
-        ordered = sorted(content) if sign == 1 else sorted(content, reverse=True)
-        if content != ordered:
-            return False
-    return True
+        last[cell], row_of_value[v - 1], col = v, l, k
+    return row_of_value == sorted(row_of_value)
 
 
 def _line_fits(reading_order, signs) -> bool:
@@ -226,40 +230,63 @@ def _line_fits(reading_order, signs) -> bool:
     return i == n
 
 
-def _fitting_cuts(perm, inv, lines: list, k: int = 0, a: int = 0) -> Iterator[tuple]:
-    """Every cut of ``perm``'s positions ``a``.. into consecutive runs, one
-    for each of the lines ``k``.. in turn, that leaves every line fitting on
-    its own, as the line (numbered from 1) of each position.  The order is
-    ascending in the cut points, which is the order of ascending part sizes;
-    lazy, so a search can stop at the first cut.
+def _fitting_cuts(inv, lines, k: int = 0, a: int = 0) -> Iterator[tuple]:
+    """Every cut of a permutation's positions ``a``.. into consecutive runs,
+    one for each of the lines ``k``.. in turn, that leaves every line
+    fitting on its own, as the line (numbered from 1) of each position.  The
+    order is ascending in the cut points, which is the order of ascending
+    part sizes; lazy, so a search can stop at the first cut.
 
-    ``lines[k]`` lists line k+1's nonzero signs, and a run fits when its
-    entries read by value (their positions, via the inverse ``inv``) pass
+    ``inv`` is the inverse of the permutation, so it lists the positions in
+    value order, and the entries of the run of positions ``a+1..b`` read by
+    value are the items of ``inv`` in that range.  ``lines[k]`` lists line
+    k+1's nonzero signs, and a run fits when those entries pass
     :func:`_line_fits`, that is, when they split into one monotone band per
     nonzero cell.  A gridding cuts columns this way, and its rows are the
-    same cut of the inverse permutation, read by position.  A longer run
-    from the same start holds every entry of a run that fails, and removing
-    entries from a band keeps it monotone, so the longer run fails too: the
-    search moves on without building it or its continuations.
+    same cut of the inverse permutation (whose inverse is the permutation
+    itself), read by position.  A longer run from the same start holds
+    every entry of a run that fails, and removing entries from a band keeps
+    it monotone, so the longer run fails too: the search moves on without
+    building it or its continuations.
 
-    >>> list(_fitting_cuts((1, 2), (1, 2), [[1], [1]]))
+    >>> list(_fitting_cuts((1, 2), [[1], [1]]))
     [(2, 2), (1, 2), (1, 1)]
-    >>> list(_fitting_cuts((2, 1), (2, 1), [[1], [1]]))
+    >>> list(_fitting_cuts((2, 1), [[1], [1]]))
     [(1, 2)]
-    >>> list(_fitting_cuts((2, 1), (2, 1), [[1], [], [-1]]))
+    >>> list(_fitting_cuts((2, 1), [[1], [], [-1]]))
     [(3, 3), (1, 3)]
     """
-    n = len(perm)
+    n = len(inv)
     last = k == len(lines) - 1
     for b in range(n if last else a, n + 1):
-        if not _line_fits([inv[v - 1] for v in sorted(perm[a:b])], lines[k]):
+        if not _line_fits([i for i in inv if a < i <= b], lines[k]):
             return
         head = (k + 1,) * (b - a)
         if last:
             yield head
         else:
-            for rest in _fitting_cuts(perm, inv, lines, k + 1, b):
+            for rest in _fitting_cuts(inv, lines, k + 1, b):
                 yield head + rest
+
+
+def _inverse(pi: Perm) -> list:
+    """The inverse of ``pi``, as the positions (from 1) of its values in
+    increasing order, built by assignment; ``ValueError`` unless ``pi`` is
+    a tuple of the ints 1..n.
+
+    >>> _inverse((3, 1, 2))
+    [2, 3, 1]
+    """
+    n = len(pi)
+    inv = [0] * n
+    if type(pi) is tuple:
+        for i, v in enumerate(pi, 1):
+            if type(v) is not int or not 0 < v <= n or inv[v - 1]:
+                break
+            inv[v - 1] = i
+        else:
+            return inv
+    raise ValueError(f"not a permutation of 1..{n}: {pi!r}")
 
 
 def _griddings(pi: Perm, m: ZeroPmOneMatrix) -> Iterator[GriddedPermutation]:
@@ -275,11 +302,10 @@ def _griddings(pi: Perm, m: ZeroPmOneMatrix) -> Iterator[GriddedPermutation]:
     legal gridding is built, and :func:`validate_gridded` rechecks each one
     that is yielded.  The row cuts are built once, only as the first fitting
     column cut reads them, so a search that stops early builds no cut
-    list."""
-    inv = sorted(range(1, len(pi) + 1), key=lambda i: pi[i - 1])
-    columns = [[s for s in col if s] for col in m.signs]
-    rows = [[col[l] for col in m.signs if col[l]] for l in range(m.rows)]
-    kept, fresh = [], _fitting_cuts(inv, pi, rows)
+    list.  ``ValueError`` before any cut is built unless ``pi`` is a tuple
+    of the ints 1..n."""
+    inv = _inverse(pi)
+    kept, fresh = [], _fitting_cuts(pi, m._row_lines)
 
     def row_cuts():
         yield from kept
@@ -287,7 +313,7 @@ def _griddings(pi: Perm, m: ZeroPmOneMatrix) -> Iterator[GriddedPermutation]:
             kept.append(cut)
             yield cut
 
-    for col_of_pos in _fitting_cuts(pi, inv, columns):
+    for col_of_pos in _fitting_cuts(inv, m._column_lines):
         for row_of_value in row_cuts():
             cells, last = [], {}
             for k, v in zip(col_of_pos, pi):
@@ -309,7 +335,8 @@ def grid_member(
 ) -> Optional[GriddedPermutation]:
     """The first legal gridding (search order: column cuts outer, value cuts
     inner, lexicographic in part sizes), or None when no lines divide the
-    plot into correctly monotone cells.
+    plot into correctly monotone cells.  ``ValueError`` unless ``pi`` is a
+    tuple of the ints 1..n.
 
     >>> grid_member((3, 1, 4, 2), X_MATRIX) is not None
     True
@@ -359,7 +386,8 @@ def geom_member(
     """A drawing of ``pi`` on the standard figure, as ``(gridding, params)``
     with one exact rational parameter per point, or None.  Every legal
     gridding is tried; for each, the strict linear system of same-column and
-    same-row order constraints is solved exactly.
+    same-row order constraints is solved exactly.  ``ValueError`` unless
+    ``pi`` is a tuple of the ints 1..n.
 
     >>> geom_member((3, 1, 4, 2), X_MATRIX) is None
     True
@@ -381,7 +409,10 @@ def geom_member(
 def drawing_coordinates(
     gp: GriddedPermutation, m: ZeroPmOneMatrix, params
 ) -> tuple:
-    """The (x, y) point of each index for a parameter witness."""
+    """The (x, y) point of each index for a parameter witness, one parameter
+    per point of the gridding (``ValueError`` otherwise)."""
+    if len(params) != len(gp.cells):
+        raise ValueError(f"{len(params)} parameters for a gridding of {len(gp.cells)} points")
     out = []
     for i, (k, l) in enumerate(gp.cells):
         t = Fraction(params[i])

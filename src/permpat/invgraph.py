@@ -437,9 +437,10 @@ def graph_from_json(data) -> Graph:
             "a graph is an object whose n is an integer, whose adjacency is one array"
             " of integer neighbours per vertex, and whose optional labels are an array"
         )
-    edges = {
-        (min(u, v), max(u, v))
-        for u, neigh in enumerate(adjacency, start=1)
-        for v in neigh
-    }
+    arcs = {(u, v) for u, neigh in enumerate(adjacency, start=1) for v in neigh}
+    one_sided = [(u, v) for u, v in arcs if 1 <= v <= n and (v, u) not in arcs]
+    if one_sided:
+        u, v = min(one_sided)
+        raise ValueError(f"adjacency lists the edge ({u}, {v}) on one side only: vertex {v} does not list {u}")
+    edges = {(min(u, v), max(u, v)) for u, v in arcs}
     return Graph(n, frozenset(edges), None if labels is None else _label_from_json(labels))

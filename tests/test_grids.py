@@ -132,18 +132,52 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def griddings_from_compositions(pi, m):
-    """Oracle: every legal gridding, column cuts outer and value cuts inner,
-    each cut a weak composition of the entries in lexicographic order."""
+def validate_gridded_by_scans(gp, m):
+    """Oracle: :func:`grids.validate_gridded` as it was first written, with
+    a value→row dict and one scan of every entry per distinct cell."""
+    pi = gp.perm
+    n = len(pi)
+    if any(type(v) is not int for v in pi) or set(pi) != set(range(1, n + 1)):
+        return False
+    for cell in gp.cells:
+        if len(cell) != 2 or any(type(x) is not int for x in cell):
+            return False
+        k, l = cell
+        if not (1 <= k <= m.cols and 1 <= l <= m.rows) or m.entry(k, l) == 0:
+            return False
+    for i in range(n - 1):
+        if gp.cells[i][0] > gp.cells[i + 1][0]:
+            return False
+    row_of_value = {pi[i]: gp.cells[i][1] for i in range(n)}
+    for v in range(1, n):
+        if row_of_value[v] > row_of_value[v + 1]:
+            return False
+    for cell in set(gp.cells):
+        content = [pi[i] for i in range(n) if gp.cells[i] == cell]
+        sign = m.entry(*cell)
+        ordered = sorted(content) if sign == 1 else sorted(content, reverse=True)
+        if content != ordered:
+            return False
+    return True
+
+
+def composition_griddings(pi, m):
+    """Every (column cut, value cut) pair of ``pi`` as a gridding, legal or
+    not, column cuts outer and value cuts inner, each cut a weak
+    composition of the entries in lexicographic order."""
     n = len(pi)
     for col_sizes in _compositions(n, m.cols):
         col_of_pos = [k for k, size in enumerate(col_sizes, start=1) for _ in range(size)]
         for row_sizes in _compositions(n, m.rows):
             row_of_value = [l for l, size in enumerate(row_sizes, start=1) for _ in range(size)]
-            cells = tuple((col_of_pos[i], row_of_value[pi[i] - 1]) for i in range(n))
-            gp = GriddedPermutation(pi, cells)
-            if validate_gridded(gp, m):
-                yield gp
+            yield GriddedPermutation(pi, [(col_of_pos[i], row_of_value[pi[i] - 1]) for i in range(n)])
+
+
+def griddings_from_compositions(pi, m):
+    """Oracle: every legal gridding, in the order of
+    :func:`composition_griddings`, decided by the scanning recheck, so it
+    shares no code with the gridding kernel."""
+    return [gp for gp in composition_griddings(pi, m) if validate_gridded_by_scans(gp, m)]
 
 
 def cell_graph_by_scan(m):
@@ -175,12 +209,19 @@ class TestAgainstOracles:
         return got
 
     def test_griddings_every_matrix_up_to_two_by_two(self):
+        # the recheck agrees with the scanning oracle on every pair of cuts,
+        # legal or not, and the kernel yields exactly the legal ones
         found = 0
         for m in all_matrices(2, 2):
             for n in range(6):
                 for pi in all_perms(n):
-                    found += len(self._assert_same_griddings(pi, m))
-        assert found > 0
+                    pairs = list(composition_griddings(pi, m))
+                    verdicts = [validate_gridded_by_scans(gp, m) for gp in pairs]
+                    assert [validate_gridded(gp, m) for gp in pairs] == verdicts, (m, pi)
+                    got = [gp.cells for gp in grids._griddings(pi, m)]
+                    assert got == [gp.cells for gp, ok in zip(pairs, verdicts) if ok], (m, pi)
+                    found += len(got)
+        assert found == 22_288
 
     @pytest.mark.parametrize(
         "rows",
@@ -279,8 +320,8 @@ class TestMonotoneGridding:
         inv = sorted(range(1, len(pi) + 1), key=lambda i: pi[i - 1])
         columns = [[s for s in col if s] for col in m.signs]
         rows = [[col[l] for col in m.signs if col[l]] for l in range(m.rows)]
-        return sum(1 for _ in grids._fitting_cuts(pi, inv, columns)) * sum(
-            1 for _ in grids._fitting_cuts(inv, pi, rows)
+        return sum(1 for _ in grids._fitting_cuts(inv, columns)) * sum(
+            1 for _ in grids._fitting_cuts(pi, rows)
         )
 
     def test_pairs_built_only_from_fitting_cuts(self, monkeypatch):
@@ -361,20 +402,38 @@ class TestMonotoneGridding:
         for cells in (((3, 1), (1, 1)), ((1, 1), (1, 3)), ((0, 1), (1, 1)), ((1, 0), (1, 1))):
             assert not validate_gridded(GriddedPermutation((1, 2), cells), X_MATRIX), cells
 
+    #: Griddings that are not a permutation of 1..n (a gap, a repeat, a 0,
+    #: entries that are not integers), or whose cells are not pairs of
+    #: integers.
+    MALFORMED = [
+        GriddedPermutation(perm, ((1, 1), (1, 1)))
+        for perm in ((1, 3), (1, 1), (0, 1), (1.0, 2), ([1], 2))
+    ] + [
+        GriddedPermutation((1,), (cell,))
+        for cell in ((1, 1, 1), (1,), ("a", 1), (1.5, 1), (True, 1))
+    ]
+
     def test_validate_rejects_malformed_griddings(self):
-        # a gap, a repeat, a 0 and entries that are not integers: each is
-        # refused, never raised on
-        for perm in ((1, 3), (1, 1), (0, 1), (1.0, 2), ([1], 2)):
-            gp = GriddedPermutation(perm, ((1, 1), (1, 1)))
-            assert validate_gridded(gp, X_MATRIX) is False, perm
-        # cells that are not pairs of integers
-        for cell in ((1, 1, 1), (1,), ("a", 1), (1.5, 1), (True, 1)):
-            gp = GriddedPermutation((1,), (cell,))
-            assert validate_gridded(gp, X_MATRIX) is False, cell
+        # each is refused, never raised on, as by the scanning oracle (which
+        # TestAgainstOracles compares on every pair of cuts up to 2×2)
+        for gp in self.MALFORMED:
+            assert validate_gridded(gp, X_MATRIX) is False, gp
+            assert validate_gridded_by_scans(gp, X_MATRIX) is False, gp
 
     def test_cells_length_checked(self):
         with pytest.raises(ValueError):
             GriddedPermutation((1, 2), ((1, 1),))
+
+    @pytest.mark.parametrize("decide", [grid_member, geom_member])
+    @pytest.mark.parametrize(
+        "pi", [(5, 1), (1, 1), (0, 1), (-1, 1), (True, 2), (1.0, 2), ("1", 2), [1, 2]]
+    )
+    def test_non_permutation_refused_before_any_cut(self, monkeypatch, decide, pi):
+        calls = []
+        monkeypatch.setattr(grids, "_fitting_cuts", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="not a permutation"):
+            decide(pi, X_MATRIX)
+        assert calls == []
 
 
 class TestGeometricGridding:
@@ -437,6 +496,12 @@ class TestDrawings:
         self._assert_faithful((2, 1, 3), X_MATRIX)
         self._assert_faithful((1, 4, 2, 3), X_MATRIX)
         self._assert_faithful((4, 3, 2, 1), X_MATRIX)
+
+    def test_parameter_count_checked(self):
+        gp, params = geom_member((2, 1, 3), X_MATRIX)
+        for wrong in (params[:2], params + (params[0],), ()):
+            with pytest.raises(ValueError, match="parameters for a gridding of 3 points"):
+                drawing_coordinates(gp, X_MATRIX, wrong)
 
     def test_parameters_stay_inside_cells(self):
         gp, params = geom_member((2, 1, 3), X_MATRIX)

@@ -118,6 +118,17 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match="a graph is an object"):
             graph_from_json(data)
 
+    @pytest.mark.parametrize(
+        "data, pair",
+        [
+            ({"n": 3, "adjacency": [[2], [], []]}, r"\(1, 2\)"),
+            ({"n": 3, "adjacency": [[2, 3], [1], [2]]}, r"\(1, 3\)"),
+        ],
+    )
+    def test_json_one_sided_edge_refused(self, data, pair):
+        with pytest.raises(ValueError, match=pair + " on one side only"):
+            graph_from_json(data)
+
     def test_dot_is_deterministic(self):
         g = cycle_graph(4)
         assert to_dot(g) == to_dot(g)
