@@ -1,0 +1,8 @@
+"""``python -m permpat``: the command-line interface of ``permpat.cli``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

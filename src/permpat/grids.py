@@ -26,10 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
+# only cell_graph builds a Graph, so invgraph's body runs on its first call
+from . import invgraph
 from .classes import PermClass, _tuple_layers
 from .feasibility import check_strict, solve_strict
 from .guards import check_size
-from .invgraph import Graph
 from .perm import Perm, direct_sum, skew_sum
 
 VALID_ENTRIES = (-1, 0, 1)
@@ -45,6 +46,8 @@ class ZeroPmOneMatrix:
     signs: tuple
 
     def __post_init__(self):
+        if type(self.cols) is not int or type(self.rows) is not int:
+            raise ValueError(f"cols and rows must be ints; got {self.cols!r} and {self.rows!r}")
         if self.cols < 1 or self.rows < 1:
             raise ValueError("need at least one column and one row")
         signs = tuple([tuple(col) for col in self.signs])
@@ -52,7 +55,8 @@ class ZeroPmOneMatrix:
             raise ValueError("signs shape must be cols x rows")
         for col in signs:
             for e in col:
-                if e not in VALID_ENTRIES:
+                # by type, since True, False and 1.0 compare equal to an entry
+                if type(e) is not int or e not in VALID_ENTRIES:
                     raise ValueError(f"matrix entries must be -1, 0, or 1; got {e!r}")
         object.__setattr__(self, "signs", signs)
         # the nonzero signs along each column (bottom to top) and each row
@@ -139,7 +143,7 @@ def all_matrices(max_cols: int, max_rows: int) -> Iterator[ZeroPmOneMatrix]:
                 yield ZeroPmOneMatrix(t, u, signs)
 
 
-def cell_graph(m: ZeroPmOneMatrix) -> Graph:
+def cell_graph(m: ZeroPmOneMatrix) -> invgraph.Graph:
     """Vertices are the nonzero cells (sorted by column then row, labeled
     with their (column, row) pair); edges join two cells of a common row or
     column with no nonzero cell strictly between them, that is, neighbours
@@ -157,7 +161,7 @@ def cell_graph(m: ZeroPmOneMatrix) -> Graph:
         for a, b in zip(line, line[1:])
         if a[axis] == b[axis]
     )
-    return Graph(len(cells), edges, labels=cells if cells else None)
+    return invgraph.Graph(len(cells), edges, labels=cells if cells else None)
 
 
 @dataclass(frozen=True)

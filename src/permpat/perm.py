@@ -12,14 +12,16 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .guards import check_size
 
+if TYPE_CHECKING:  # only the annotation names it; fractions would load decimal too
+    from fractions import Fraction
+
 Perm = tuple  # a permutation in one-line notation: tuple of ints 1..n
 
-Numeric = Union[int, float, Fraction]
+Numeric = Union[int, float, "Fraction"]
 
 
 # ---------------------------------------------------------------------------

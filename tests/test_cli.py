@@ -420,6 +420,14 @@ class TestSuiteVerb:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_run_as_module(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cl.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "permpat", "decompose", "2413"], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "2413[leaf, leaf, leaf, leaf]\n"
+
 
 class TestExitCodesAndGuards:
     def test_size_guard_exit_three(self, capsys):

@@ -50,6 +50,22 @@ class TestMatrixConstruction:
         with pytest.raises(ValueError):
             ZeroPmOneMatrix(1, 1, ((2,),))
 
+    @pytest.mark.parametrize("entry", [True, False, 1.0, 0.0, -1.0])
+    def test_rejects_entries_equal_to_but_not_ints(self, entry):
+        with pytest.raises(ValueError, match="must be -1, 0, or 1"):
+            ZeroPmOneMatrix(1, 1, ((entry,),))
+
+    @pytest.mark.parametrize("cols, rows", [(True, 1), (1, True), (1.0, 1), ("1", 1)])
+    def test_rejects_dimensions_that_are_not_ints(self, cols, rows):
+        with pytest.raises(ValueError, match="must be ints"):
+            ZeroPmOneMatrix(cols, rows, ((1,),))
+
+    def test_json_roundtrip_every_small_matrix(self):
+        matrices = list(all_matrices(2, 2))
+        assert len(matrices) == 3 + 9 + 9 + 81
+        for m in matrices:
+            assert matrix_from_json(matrix_to_json(m)) == m
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             ZeroPmOneMatrix(2, 1, ((1,),))
