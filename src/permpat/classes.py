@@ -17,8 +17,9 @@ from .perm import (
     Perm,
     check_perm,
     _simple_split,
+    _slot_bounds,
     _sum_split,
-    contains,
+    _witness,
     is_simple,
     one_point_deletions,
     patterns_of_length,
@@ -36,22 +37,22 @@ class PermClass:
     The basis is minimalized on construction (any element containing a
     shorter one is dropped) and stored sorted by length then value, so equal
     classes built from different inputs compare equal.  An empty basis
-    denotes the class of all permutations.
+    denotes the class of all permutations.  Each basis element's
+    containment search plan is made once, here, and kept beside it.
     """
 
     basis: tuple = ()
     name: Optional[str] = None
 
     def __post_init__(self):
-        elems = [tuple(b) for b in self.basis]
-        for b in elems:
-            check_perm(b)
+        elems = [check_perm(b) for b in self.basis]
         elems = sorted(set(elems), key=_perm_sort_key)
-        kept = []
+        plans = []
         for b in elems:
-            if not any(contains(prev, b) for prev in kept):
-                kept.append(b)
-        object.__setattr__(self, "basis", tuple(kept))
+            if all(_witness(prev, b, None, plan) is None for prev, plan in plans):
+                plans.append((b, _slot_bounds(b)))
+        object.__setattr__(self, "basis", tuple([b for b, _ in plans]))
+        object.__setattr__(self, "_plans", tuple(plans))
 
     def member(self, pi: Perm) -> bool:
         """True iff no basis element is contained in ``pi``.
@@ -61,7 +62,10 @@ class PermClass:
         >>> avoiding((2, 4, 1, 3), (3, 1, 4, 2)).member((2, 4, 1, 3))
         False
         """
-        return not any(contains(b, pi) for b in self.basis)
+        for b, plan in self._plans:
+            if _witness(b, pi, None, plan) is not None:
+                return False
+        return True
 
     def max_basis_length(self) -> int:
         return max((len(b) for b in self.basis), default=0)
@@ -220,9 +224,11 @@ def _basis_class(oracle: Callable[[bytes], bool], nmax: int) -> PermClass:
     containment tests that :class:`PermClass` runs to minimalize a basis."""
     found = [p for _, nonmembers in _layers(oracle, nmax) for p in nonmembers]
     found.sort(key=lambda p: (len(p), p))
+    basis = tuple(map(tuple, found))
     c = object.__new__(PermClass)
-    object.__setattr__(c, "basis", tuple(map(tuple, found)))
+    object.__setattr__(c, "basis", basis)
     object.__setattr__(c, "name", None)
+    object.__setattr__(c, "_plans", tuple([(b, _slot_bounds(b)) for b in basis]))
     return c
 
 
@@ -449,7 +455,7 @@ def class_from_json(data) -> PermClass:
     basis = data.get("basis") if isinstance(data, dict) else None
     if not (
         isinstance(basis, list)
-        and all(isinstance(b, list) and not any(isinstance(v, bool) for v in b) for b in basis)
+        and all(isinstance(b, list) and all(type(v) is int for v in b) for b in basis)
         and isinstance(data.get("name", ""), str)
     ):
         raise ValueError(

@@ -12,7 +12,6 @@ import argparse
 import itertools
 import json
 import sys
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import antichains as ac
@@ -121,6 +120,8 @@ def _do_contains(args) -> Outcome:
 
 
 def _do_reduce(args) -> Outcome:
+    from fractions import Fraction  # only this verb reads rationals; it loads decimal too
+
     try:
         values = [Fraction(tok) for tok in args.values]
     except ValueError as exc:
@@ -330,6 +331,10 @@ def _do_paper_suite(args) -> Outcome:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb.  Its choice lists are literal copies of
+    ``SYMMETRY_NAMES``, ``CLOSURE_KINDS``, ``GRID_KINDS`` and ``FAMILY_IDS``,
+    so building it runs no layer module: a verb runs only the layers its
+    handler uses."""
     parser = argparse.ArgumentParser(
         prog="permpat",
         description="Permutation patterns: containment, graphs, classes, "
@@ -362,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("values", nargs="+")
 
     p = verb("symmetry", _do_symmetry, "apply a symmetry by name")
-    p.add_argument("name", choices=pm.SYMMETRY_NAMES)
+    p.add_argument("name", choices=("inverse", "reverse-complement", "rc-inverse"))
     p.add_argument("perm")
 
     p = verb("decompose", _do_decompose, "substitution decomposition tree")
@@ -398,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("closure-member", _do_closure_member, "closure membership, exit 0/1 (needs --class)",
              "--class")
-    p.add_argument("kind", choices=cl.CLOSURE_KINDS)
+    p.add_argument("kind", choices=("sum", "skew", "substitution", "separable"))
     p.add_argument("perm")
 
     p = verb("grid-member", _do_grid_member, "monotone gridding, exit 0/1 (needs --matrix)",
@@ -412,14 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("grid-enum", _do_grid_enum, "CSV counts for a grid class (needs --matrix)",
              "--matrix", "--max-n")
     p.add_argument("n", type=int)
-    p.add_argument("--kind", choices=gr.GRID_KINDS, default="monotone")
+    p.add_argument("--kind", choices=("monotone", "geometric"), default="monotone")
     p.add_argument("--members", action="store_true", help="also list members")
 
     p = verb("cellgraph", _do_cellgraph, "cell graph of a matrix as DOT (needs --matrix)",
              "--matrix", "--dot")
 
     p = verb("antichain", _do_antichain, "a member of an antichain family", "--dot")
-    p.add_argument("family", choices=ac.FAMILY_IDS)
+    p.add_argument("family", choices=("amr-oscillation", "amr-tarjan", "widdershins", "labeled-path"))
     p.add_argument("k", type=int)
 
     p = verb("labeled-contains", _do_labeled_contains, "labeled containment, exit 0/1", "--poset")

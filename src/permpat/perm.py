@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -29,12 +30,16 @@ Numeric = Union[int, float, "Fraction"]
 
 
 def check_perm(values: Sequence[int]) -> Perm:
-    """Validate one-line notation and return it as a tuple.
+    """Validate one-line notation and return it as a tuple.  The entries
+    must be ints: ``bool`` and ``float`` values are refused.
 
     >>> check_perm([3, 1, 2])
     (3, 1, 2)
     """
     p = tuple(values)
+    # by type, since True and 1.0 compare equal to the entry 1
+    if not {*map(type, p)} <= {int}:
+        raise ValueError(f"permutation entries must be ints: {p!r}")
     if sorted(p) != list(range(1, len(p) + 1)):
         raise ValueError(f"not a permutation of 1..{len(p)}: {p!r}")
     return p
@@ -97,23 +102,25 @@ def reduce_sequence(seq: Sequence[Numeric]) -> Perm:
 
 def _slot_bounds(sigma: Perm) -> tuple[list[int], list[int]]:
     """For each pattern slot j, the earlier slot holding the closest value
-    below / above ``sigma[j]`` (or -1)."""
+    below / above ``sigma[j]`` (or -1).  Both are read off a sorted list of
+    the earlier values, one bisection per slot."""
     k = len(sigma)
     lower = [-1] * k
     upper = [-1] * k
-    for j in range(k):
-        lo_val, hi_val = 0, k + 1
-        for i in range(j):
-            if lo_val < sigma[i] < sigma[j]:
-                lo_val, lower[j] = sigma[i], i
-            if sigma[j] < sigma[i] < hi_val:
-                hi_val, upper[j] = sigma[i], i
+    seen = []  # the values of slots 0..j-1, ascending
+    slots = []  # the slot of each value in ``seen``
+    for j, v in enumerate(sigma):
+        i = bisect_left(seen, v)
+        if i:
+            lower[j] = slots[i - 1]
+        if i < j:
+            upper[j] = slots[i]
+        seen.insert(i, v)
+        slots.insert(i, j)
     return lower, upper
 
 
-#: The longest pattern the containment search takes.  The search recurses
-#: once per pattern entry, so this stays well under Python's default
-#: recursion limit of 1000 frames, with room for the caller's own frames.
+#: The longest pattern the containment search takes, a fixed cap.
 WITNESS_MAX_K = 500
 
 
@@ -122,10 +129,9 @@ def containment_witness(sigma: Perm, pi: Perm) -> Optional[tuple]:
     ``pi`` whose entries reduce to ``sigma``, or ``None``.
 
     Depth-first embedding with pruning on remaining length and on the value
-    interval forced by the already-embedded entries.  The search recurses
-    once per pattern entry, so a pattern longer than :data:`WITNESS_MAX_K`
-    (and no longer than ``pi``) is refused with :class:`SizeGuardError`
-    before it starts.
+    interval forced by the already-embedded entries.  A pattern longer than
+    :data:`WITNESS_MAX_K` (and no longer than ``pi``) is refused with
+    :class:`SizeGuardError` before the search starts.
 
     >>> containment_witness((3, 2, 5, 1, 4), (4, 3, 2, 6, 7, 9, 1, 8, 5))
     (1, 2, 4, 7, 9)
@@ -135,38 +141,53 @@ def containment_witness(sigma: Perm, pi: Perm) -> Optional[tuple]:
     return _witness(sigma, pi)
 
 
-def _witness(sigma: Perm, pi: Perm, fits: Optional[Callable] = None) -> Optional[tuple]:
+def _witness(
+    sigma: Perm, pi: Perm, fits: Optional[Callable] = None, plan: Optional[tuple] = None
+) -> Optional[tuple]:
     """:func:`containment_witness`, where pattern slot ``j`` may also take
-    0-based position ``pos`` of ``pi`` only if ``fits(j, pos)`` holds.
+    0-based position ``pos`` of ``pi`` only if ``fits(j, pos)`` holds, and
+    ``plan`` is ``_slot_bounds(sigma)`` when the caller has it already.
 
-    A pattern longer than :data:`WITNESS_MAX_K` that fits in ``pi`` is
-    refused with :class:`SizeGuardError` before any search work; a pattern
-    longer than ``pi`` is absent with no search at all."""
+    The search is one loop over the slot ``j`` being filled: it tries the
+    positions of slot j in increasing order and steps back to slot j - 1
+    when none is left, so the first full embedding it reaches is the
+    lexicographically least.  A pattern longer than :data:`WITNESS_MAX_K`
+    that fits in ``pi`` is refused with :class:`SizeGuardError` before any
+    search work; a pattern longer than ``pi`` is absent with no search at
+    all."""
     k, n = len(sigma), len(pi)
     if k == 0:
         return ()
     if k > n:
         return None
     check_size("containment pattern", k, WITNESS_MAX_K)
-    lower, upper = _slot_bounds(sigma)
+    lower, upper = plan or _slot_bounds(sigma)
     chosen = [0] * k
-
-    def dfs(j: int, start: int) -> bool:
-        if j == k:
-            return True
+    # slot j takes a position in pi no later than ``last``, which leaves
+    # room for the slots after it
+    j = pos = 0
+    lo, hi, last = 0, n + 1, n - k
+    while True:
+        if pos > last:
+            # slot j has no position left: try slot j - 1's next one
+            if j == 0:
+                return None
+            j -= 1
+            pos = chosen[j] + 1
+        else:
+            v = pi[pos]
+            if not (lo < v < hi and (fits is None or fits(j, pos))):
+                pos += 1
+                continue
+            chosen[j] = pos
+            j += 1
+            if j == k:
+                return tuple([i + 1 for i in chosen])
+            pos += 1
+        # the value interval that the filled slots force on slot j
         lo = pi[chosen[lower[j]]] if lower[j] >= 0 else 0
         hi = pi[chosen[upper[j]]] if upper[j] >= 0 else n + 1
-        for pos in range(start, n - (k - j) + 1):
-            v = pi[pos]
-            if lo < v < hi and (fits is None or fits(j, pos)):
-                chosen[j] = pos
-                if dfs(j + 1, pos + 1):
-                    return True
-        return False
-
-    if dfs(0, 0):
-        return tuple([pos + 1 for pos in chosen])
-    return None
+        last = n - k + j
 
 
 def contains(sigma: Perm, pi: Perm) -> bool:

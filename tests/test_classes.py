@@ -65,11 +65,37 @@ class TestPermClass:
 
     @pytest.mark.parametrize(
         "data",
-        [{}, {"basis": [[1, 2], "21"]}, {"basis": [[1, 2]], "name": 3}, [[1, 2]]],
+        [
+            {},
+            {"basis": [[1, 2], "21"]},
+            {"basis": [[1, 2]], "name": 3},
+            [[1, 2]],
+            {"basis": [[2.0, 1]]},
+            {"basis": [[True]]},
+        ],
     )
     def test_json_missing_or_ill_typed_field(self, data):
         with pytest.raises(ValueError, match="a class is an object"):
             class_from_json(data)
+
+    @pytest.mark.parametrize("basis", [((2.0, 1.0),), ((1, 2.0),), ((True,),), ((False, True),)])
+    def test_rejects_entries_equal_to_but_not_ints(self, basis):
+        with pytest.raises(ValueError, match="must be ints"):
+            PermClass(basis)
+
+    def test_member_reuses_the_plans_made_at_construction(self, monkeypatch):
+        c = avoiding((3, 2, 1), (2, 4, 1, 3))
+        u = union_basis(avoiding((1, 2)), avoiding((2, 1)))
+
+        def no_plan(sigma):
+            raise AssertionError("a containment search plan was made again")
+
+        monkeypatch.setattr(pm, "_slot_bounds", no_plan)
+        assert c.member((2, 1, 4, 3)) and not c.member((4, 3, 2, 1)) and not c.member((3, 5, 1, 4, 2))
+        assert minimal_nonmembers(c.member, 5) == c.basis
+        assert closure_member((2, 1, 4, 3, 6, 5), c, "substitution")
+        assert not closure_member((2, 5, 3, 1, 4), c, "substitution")
+        assert u.member((2, 1)) and not u.member((1, 3, 2))
 
 
 class TestEnumeration:
@@ -521,7 +547,7 @@ class TestPackedLayers:
         def no_containment(*args):
             raise AssertionError("a containment test ran")
 
-        monkeypatch.setattr(cl, "contains", no_containment)
+        monkeypatch.setattr(cl, "_witness", no_containment)
         monkeypatch.setattr(PermClass, "member", no_containment)
         if union_expected is not None:
             assert union_basis(c, d).basis == union_expected

@@ -528,6 +528,7 @@ class TestExitCodesAndGuards:
             ("member", "--class", {"basis": [[1, 2], 5]}, "12"),
             ("member", "--class", [[1, 2]], "12"),
             ("member", "--class", {"basis": [[True, 2]]}, "12"),
+            ("enumerate", "--class", {"basis": [[2.0, 1]]}, "3"),
         ],
     )
     def test_malformed_json_is_a_usage_error(self, capsys, tmp_path, verb, flag, data, perm):

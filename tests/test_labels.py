@@ -147,10 +147,25 @@ class TestLabeledContainment:
         with pytest.raises(ValueError):
             labeled_from_json('{"perm": [1], "labels": [{"a": 1}]}')
 
-    @pytest.mark.parametrize("data", [[1], "[1]", {"labels": ["o"]}, {"perm": [1.0], "labels": ["o"]}])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [1],
+            "[1]",
+            {"labels": ["o"]},
+            {"perm": [1.0], "labels": ["o"]},
+            {"perm": [True], "labels": ["o"]},
+            {"perm": [2, 1.0], "labels": ["o", "o"]},
+        ],
+    )
     def test_non_object_or_non_integer_perm_rejected(self, data):
         with pytest.raises(ValueError, match="a labeled permutation is an object"):
             labeled_from_json(data)
+
+    @pytest.mark.parametrize("perm", [(1.0, 2), (2, 1.0), (True,), (False, True)])
+    def test_entries_equal_to_but_not_ints_rejected(self, perm):
+        with pytest.raises(ValueError, match="must be ints"):
+            LabeledPermutation(perm, tuple(["o" for _ in perm]))
 
 
 def first_combination(sigma, pi, fits=lambda j, pos: True):

@@ -5,6 +5,7 @@ runs on first use.  What a process has loaded is global state, so those
 checks run in a fresh interpreter.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -142,6 +143,31 @@ class TestLoading:
             "assert vars(permpat)['intervals'] is f\n"
         )
         assert state["ran"] == ["guards", "perm"]
+
+
+class TestCliLoading:
+    def test_build_parser_runs_no_layer(self):
+        state = fresh("import permpat.cli\npermpat.cli.build_parser()\n")
+        # guards ran on import: the CLI names its SizeGuardError
+        assert state["ran"] == ["cli", "guards"]
+
+    def test_contains_runs_guards_and_perm_only(self):
+        state = fresh("from permpat.cli import main\nassert main(['contains', '21', '132']) == 0\n")
+        assert state["ran"] == ["cli", "guards", "perm"]
+        assert not state["fractions"]
+
+    def test_choice_literals_match_the_layers(self):
+        from permpat import cli
+
+        verbs = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+        def choices(verb, dest):
+            return next(a.choices for a in verbs.choices[verb]._actions if a.dest == dest)
+
+        assert choices("symmetry", "name") == permpat.SYMMETRY_NAMES
+        assert choices("closure-member", "kind") == permpat.CLOSURE_KINDS
+        assert choices("grid-enum", "kind") == permpat.GRID_KINDS
+        assert choices("antichain", "family") == permpat.FAMILY_IDS
 
 
 class TestNamespace:

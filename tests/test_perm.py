@@ -1,17 +1,21 @@
 """Core permutation operations: parsing, containment, symmetries, sums,
 intervals, simplicity, and the substitution decomposition."""
+import itertools
 import random
 
 import pytest
 
 from permpat import (
     TWO_ANTICHAIN,
+    FinitePoset,
+    LabeledPermutation,
     SizeGuardError,
     SubstitutionTree,
     all_patterns,
     all_perms,
     apply_symmetry,
     avoids,
+    compass_poset,
     components,
     constant_labels,
     containment_witness,
@@ -63,6 +67,12 @@ class TestParsing:
             parse_perm("1 3")
         with pytest.raises(ValueError):
             parse_perm("1 1 2")
+
+    @pytest.mark.parametrize("values", [(2.0, 1.0), (1, 2.0), (True,), (False, True), (2, True)])
+    def test_check_perm_rejects_entries_that_are_not_ints(self, values):
+        # each sorts to values equal to 1..n, so only the type tells them apart
+        with pytest.raises(ValueError, match="must be ints"):
+            pm.check_perm(values)
 
     def test_format_round_trip(self):
         for pi in all_perms(4):
@@ -144,6 +154,144 @@ class TestWitnessCap:
 
     def test_pattern_longer_than_the_text_is_absent_with_no_refusal(self):
         assert containment_witness(self.TEXT, (2, 1)) is None
+
+
+def _quadratic_slot_bounds(sigma):
+    """``pm._slot_bounds`` by a scan over every earlier slot, O(k²)."""
+    k = len(sigma)
+    lower = [-1] * k
+    upper = [-1] * k
+    for j in range(k):
+        lo_val, hi_val = 0, k + 1
+        for i in range(j):
+            if lo_val < sigma[i] < sigma[j]:
+                lo_val, lower[j] = sigma[i], i
+            if sigma[j] < sigma[i] < hi_val:
+                hi_val, upper[j] = sigma[i], i
+    return lower, upper
+
+
+def _recursive_witness(sigma, pi, fits=None):
+    """The containment search as a recursion once per pattern entry,
+    through a closure made per call, over quadratic slot bounds: the
+    reference that the loop in ``pm._witness`` must agree with, ``None``
+    included."""
+    k, n = len(sigma), len(pi)
+    if k == 0:
+        return ()
+    if k > n:
+        return None
+    lower, upper = _quadratic_slot_bounds(sigma)
+    chosen = [0] * k
+
+    def dfs(j, start):
+        if j == k:
+            return True
+        lo = pi[chosen[lower[j]]] if lower[j] >= 0 else 0
+        hi = pi[chosen[upper[j]]] if upper[j] >= 0 else n + 1
+        for pos in range(start, n - (k - j) + 1):
+            v = pi[pos]
+            if lo < v < hi and (fits is None or fits(j, pos)):
+                chosen[j] = pos
+                if dfs(j + 1, pos + 1):
+                    return True
+        return False
+
+    return tuple([pos + 1 for pos in chosen]) if dfs(0, 0) else None
+
+
+def _first_occurrence(sigma, pi):
+    """Brute force: the first 1-based index tuple, in lexicographic order,
+    whose entries of ``pi`` reduce to ``sigma``, or ``None``."""
+    for idx in itertools.combinations(range(len(pi)), len(sigma)):
+        if reduce_sequence([pi[i] for i in idx]) == sigma:
+            return tuple([i + 1 for i in idx])
+    return None
+
+
+def _seeded_pairs(seed, count):
+    """``count`` (sigma, pi, positions) triples with |sigma| <= 8 and
+    |pi| <= 30, in three kinds taken in turn: sigma carved out of a uniform
+    pi at ``positions``, so present; a sigma that contains 321 in a pi that
+    is a union of two increasing sequences, so absent (``positions`` None);
+    and a uniform sigma in a uniform pi (``positions`` None)."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n, k = rng.randint(8, 30), rng.randint(1, 8)
+        pi = tuple(rng.sample(range(1, n + 1), n))
+        if i % 3 == 0:
+            positions = sorted(rng.sample(range(n), k))
+            out.append((reduce_sequence([pi[p] for p in positions]), pi, positions))
+        elif i % 3 == 1:
+            sigma = ()
+            while not any(a > b > c for a, b, c in itertools.combinations(sigma, 3)):
+                sigma = tuple(rng.sample(range(1, max(k, 3) + 1), max(k, 3)))
+            size = rng.randint(0, n)
+            spots = set(rng.sample(range(n), size))
+            values = set(rng.sample(range(1, n + 1), size))
+            first, second = iter(sorted(values)), iter(sorted(set(range(1, n + 1)) - values))
+            out.append((sigma, tuple([next(first if pos in spots else second) for pos in range(n)]), None))
+        else:
+            out.append((tuple(rng.sample(range(1, k + 1), k)), pi, None))
+    return out
+
+
+#: The compass poset the benchmark's labeled search uses: compass labels
+#: over the two-element chain.
+COMPASS = compass_poset(FinitePoset.chain(("o", "*")))
+
+
+class TestWitnessLoop:
+    """The containment search is one loop over the slot being filled, and
+    the recursive search :func:`_recursive_witness` is its oracle."""
+
+    def test_slot_bounds_match_the_quadratic_scan(self):
+        sigmas = list(perms_up_to(6))
+        rng = random.Random(2201)
+        for _ in range(60):
+            k = rng.randint(7, 80)
+            sigmas.append(tuple(rng.sample(range(1, k + 1), k)))
+        for sigma in sigmas:
+            assert pm._slot_bounds(sigma) == _quadratic_slot_bounds(sigma), sigma
+
+    def test_seeded_pairs_match_the_recursion(self):
+        for i, (sigma, pi, positions) in enumerate(_seeded_pairs(2202, 900)):
+            expected = _recursive_witness(sigma, pi)
+            assert containment_witness(sigma, pi) == expected, (sigma, pi)
+            assert pm._witness(sigma, pi, None, pm._slot_bounds(sigma)) == expected, (sigma, pi)
+            if positions is not None:
+                # the least witness is no later than the carved occurrence
+                assert expected is not None and expected <= tuple([p + 1 for p in positions])
+            elif i % 3 == 1:
+                assert expected is None, (sigma, pi)
+
+    @pytest.mark.parametrize("poset", [TWO_ANTICHAIN, COMPASS], ids=["two-antichain", "compass"])
+    def test_labeled_pairs_match_the_recursion(self, poset):
+        rng = random.Random(f"2204/{len(poset)}")
+        for sigma, pi, positions in _seeded_pairs(2204, 600):
+            plabels = tuple([rng.choice(poset.elements) for _ in pi])
+            if positions is not None and rng.random() < 0.75:
+                # the carved occurrence carries the text's own labels
+                slabels = tuple([plabels[p] for p in positions])
+            else:
+                slabels = tuple([rng.choice(poset.elements) for _ in sigma])
+            s, p = LabeledPermutation(sigma, slabels), LabeledPermutation(pi, plabels)
+            fits = lambda j, pos: poset.leq(slabels[j], plabels[pos])
+            assert labeled_containment_witness(s, p, poset) == _recursive_witness(sigma, pi, fits), (s, p)
+
+    def test_every_position_combination_up_to_eight(self):
+        pairs = [(sigma, pi) for pi in perms_up_to(5) for sigma in perms_up_to(len(pi))]
+        rng = random.Random(2205)
+        for n in (6, 7, 8):
+            for _ in range(30):
+                pi = tuple(rng.sample(range(1, n + 1), n))
+                pairs += [(sigma, pi) for k in (3, 4) for sigma in all_perms(k)]
+                pairs += [(tuple(rng.sample(range(1, k + 1), k)), pi) for k in (5, 6) for _ in range(4)]
+        for sigma, pi in pairs:
+            expected = _first_occurrence(sigma, pi)
+            assert containment_witness(sigma, pi) == expected, (sigma, pi)
+            assert _recursive_witness(sigma, pi) == expected, (sigma, pi)
 
 
 class TestSymmetries:

@@ -34,3 +34,33 @@ def test_tuples_built_from_lists(layer):
     # a list comprehension gives tuple() its exact length
     module = importlib.import_module(f"permpat.{layer}")
     assert _tuples_over_generators(Path(module.__file__).read_text()) == [], layer
+
+
+def _frames_per_call(source, name):
+    """The line of each nested function or lambda in the top-level function
+    ``name`` of ``source``, and of each call it makes to itself by name."""
+    function = next(
+        node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+    return sorted(
+        node.lineno
+        for node in ast.walk(function)
+        if node is not function
+        and (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+        )
+    )
+
+
+def test_finder_sees_nested_functions_and_self_calls():
+    source = "def f(n):\n    g = lambda: 0\n    def h():\n        pass\n    return f(n - 1)\n"
+    assert _frames_per_call(source, "f") == [2, 3, 5]
+    assert _frames_per_call("def f(n):\n    return [n for n in range(n)]\n", "f") == []
+
+
+def test_containment_search_is_one_loop():
+    # a closure or a self-call per pattern entry would bring back a Python
+    # frame per entry, and with it the recursion limit
+    module = importlib.import_module("permpat.perm")
+    assert _frames_per_call(Path(module.__file__).read_text(), "_witness") == []
