@@ -121,8 +121,7 @@ _EXPORTS = {
     "feasibility": ("check_strict", "solve_strict"),
     "grids": (
         "GRID_KINDS",
-        "GRIDDABILITY_NOTE",
-        "GriddabilityEvidence",
+        "GriddabilityVerdict",
         "GriddedPermutation",
         "X_MATRIX",
         "ZeroPmOneMatrix",
@@ -132,7 +131,7 @@ _EXPORTS = {
         "enumerate_grid",
         "geom_member",
         "grid_member",
-        "griddability_evidence",
+        "griddability_verdict",
         "matrix_from_json",
         "matrix_from_rows_top_first",
         "matrix_to_json",

@@ -1,5 +1,7 @@
-"""Command-line surface: every library operation behind one verb each,
-plus ``paper-suite`` running the full property battery.
+"""Command-line surface: one verb for each of the library's main operations,
+plus ``paper-suite`` running the full property battery.  Other operations,
+among them ``preimages``, ``automorphisms``, ``classify`` and
+``griddability_verdict``, have no verb and are reached from Python only.
 
 Exit codes: 0 = true / success, 1 = false (boolean verbs) or a failing
 suite, 2 = usage error, 3 = size-guard refusal (also for input nested

@@ -1,5 +1,6 @@
 """Monotone and geometric grid classes over 0/±1 matrices: cell graphs,
-membership deciders, bounded enumeration, and finite-griddability evidence.
+membership deciders, bounded enumeration, and the monotone griddability
+verdict of a class, read off its basis.
 
 Matrices use Cartesian indexing: ``entry(k, l)`` is column ``k`` from the
 left, row ``l`` from the bottom.  The JSON form lists rows top-first (the
@@ -31,7 +32,7 @@ from . import invgraph
 from .classes import PermClass, _tuple_layers
 from .feasibility import check_strict, solve_strict
 from .guards import check_size
-from .perm import Perm, direct_sum, skew_sum
+from .perm import Perm, components, containment_witness, sum_perms
 
 VALID_ENTRIES = (-1, 0, 1)
 
@@ -550,47 +551,45 @@ def enumerate_grid(
 
 
 @dataclass(frozen=True)
-class GriddabilityEvidence:
-    """Chain-membership report backing a finite-griddability check; takes no
-    verdict (see ``note``)."""
+class GriddabilityVerdict:
+    """See :func:`griddability_verdict`; an exit is ``(k, beta, witness)``."""
 
-    depth: int
-    sum_chain: tuple    # sum_chain[j-1]: is the j-fold direct sum of 21 a member
-    skew_chain: tuple   # skew_chain[j-1]: is the j-fold skew sum of 12 a member
-    note: str
+    griddable: bool
+    sum_exit: Optional[tuple]
+    skew_exit: Optional[tuple]
 
 
-GRIDDABILITY_NOTE = (
-    "No verdict is taken: the finite-griddability criterion is stated as the "
-    "class not containing 'both' of two closures (the sum closure of {1, 21} "
-    "and the skew closure of {1, 12}), which is ambiguous between forbidding "
-    "their conjunction and forbidding each separately. This report gives both "
-    "chain statuses and leaves the reading to the caller."
-)
+def griddability_verdict(c: PermClass) -> GriddabilityVerdict:
+    """Whether C = Av(B) is monotone griddable (one 0/±1 matrix grids every
+    member), read off the basis with no membership test.
 
+    The patterns of ⊕ᵏ21 are the direct sums of at most k parts, each 1 or
+    21.  So C holds every ⊕ᵏ21 (``sum_exit`` is None) unless some β ∈ B has
+    all its direct-sum components in {1, 21}; else ``sum_exit`` is ``(k, β,
+    containment_witness(β, ⊕ᵏ21))``, β the first with the fewest components
+    and k their number, the least k with ⊕ᵏ21 ∉ C.  Dually ``skew_exit``: ⊖ᵏ12, {1, 12}.
 
-def griddability_evidence(
-    c: PermClass, depth: int, max_n: Optional[int] = None
-) -> GriddabilityEvidence:
-    """For each j ≤ depth, whether the j-fold direct sum of 21 and the
-    j-fold skew sum of 12 are members of C.  These chains are cofinal in the
-    two closures named in the note, so their statuses are the canonical
-    containment evidence.
+    Without an exit C is not griddable: if a matrix with c columns, r rows
+    and m nonzero cells grids ⊕ᵏ21, its c + r − 2 lines each cut at most one
+    21, and each uncut 21 fills a decreasing cell of its own (two in one
+    cell make a 12), so k ≤ m + c + r − 2; dually for ⊖ᵏ12.  With both it
+    is: a class is monotone griddable iff it does not contain arbitrarily
+    long sums of 21 or skew sums of 12 (Huczynska and Vatter, "Grid classes
+    and the Fibonacci dichotomy for restricted permutations", Electron. J.
+    Combin. 13 (2006)).  The exits carry witnesses; no matrix is built.
 
-    >>> ev = griddability_evidence(PermClass(((3, 2, 1),)), 3)
-    >>> (ev.sum_chain, ev.skew_chain)
-    ((True, True, True), (True, True, False))
+    >>> v = griddability_verdict(PermClass(((3, 2, 1),)))
+    >>> (v.griddable, v.sum_exit, v.skew_exit)
+    (False, None, (3, (3, 2, 1), (1, 3, 5)))
     """
-    check_size("griddability_evidence", 2 * depth, 9, max_n)
-    sum_chain = []
-    skew_chain = []
-    sum_perm: Perm = ()
-    skew_perm: Perm = ()
-    for _ in range(depth):
-        sum_perm = direct_sum(sum_perm, (2, 1))
-        skew_perm = skew_sum(skew_perm, (1, 2))
-        sum_chain.append(c.member(sum_perm))
-        skew_chain.append(c.member(skew_perm))
-    return GriddabilityEvidence(
-        depth, tuple(sum_chain), tuple(skew_chain), GRIDDABILITY_NOTE
-    )
+    exits = []
+    for direction, block in (("direct", (2, 1)), ("skew", (1, 2))):
+        # a component of length <= 2 that does not split is 1 or the block
+        cuts = [(len(parts), beta) for beta in c.basis
+                for parts in [components(beta, direction)] if all(len(p) <= 2 for p in parts)]
+        k, beta = min(cuts, key=lambda cut: cut[0], default=(0, None))
+        chain = ()
+        for _ in range(k):
+            chain = sum_perms(chain, block, direction)
+        exits.append(None if beta is None else (k, beta, containment_witness(beta, chain)))
+    return GriddabilityVerdict(None not in exits, *exits)

@@ -461,24 +461,29 @@ def simple_perms(n: int) -> list:
 
 def inflate(sigma: Perm, alphas: Sequence[Perm]) -> Perm:
     """Replace each entry of ``sigma`` by an interval copy of the
-    corresponding block.
+    corresponding block.  A skeleton or block that is not a permutation is
+    refused with ``ValueError`` before anything is built.
 
     >>> inflate((2, 4, 1, 3), [(1,), (1, 3, 2), (3, 2, 1), (1, 2)])
     (4, 7, 9, 8, 3, 2, 1, 5, 6)
     """
+    sigma = check_perm(sigma)
+    alphas = [check_perm(a) for a in alphas]
     if len(alphas) != len(sigma):
         raise ValueError(
             f"need {len(sigma)} blocks for a skeleton of length {len(sigma)}, got {len(alphas)}"
         )
     if any(len(a) == 0 for a in alphas):
         raise ValueError("inflation blocks must be nonempty")
-    sizes = [len(a) for a in alphas]
-    offsets = []
-    for i in range(len(sigma)):
-        offsets.append(sum(sizes[j] for j in range(len(sigma)) if sigma[j] < sigma[i]))
+    sizes = [0] * (len(sigma) + 1)
+    for v, alpha in zip(sigma, alphas):
+        sizes[v] = len(alpha)
+    # below[v]: the entries in the blocks of skeleton values up to v
+    below = list(itertools.accumulate(sizes))
     out = []
-    for off, alpha in zip(offsets, alphas):
-        out.extend(off + v for v in alpha)
+    for v, alpha in zip(sigma, alphas):
+        off = below[v - 1]
+        out.extend([off + x for x in alpha])
     return tuple(out)
 
 

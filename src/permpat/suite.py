@@ -53,9 +53,6 @@ OPEN_QUESTIONS = (
     "well-quasi-order: open; not decidable from a basis here",
     "whether well-quasi-order of the substitution closure forces labeled "
     "well-quasi-order: open; not decidable from a basis here",
-    "finite-griddability criterion: 'does not contain both' is ambiguous "
-    "between forbidding the conjunction and forbidding each closure; the "
-    "evidence report lists both chain statuses and takes no verdict",
     "n-fold labeled well-quasi-order beyond 2 labels: only bounded-length "
     "evidence, never a verdict",
     "whether inversion-graph well-quasi-order forces permutation-class "
@@ -750,6 +747,45 @@ def check_stankova(seed: int) -> str:
     return "the X-shape monotone class equals Av(2143,3412) for n <= 6"
 
 
+#: The k-fold direct sums of 21 and the k-fold skew sums of 12.
+_CHAINS = (("direct", (2, 1)), ("skew", (1, 2)))
+
+
+def _chain(k: int, direction: str, block: pm.Perm) -> pm.Perm:
+    chain: pm.Perm = ()
+    for _ in range(k):
+        chain = pm.sum_perms(chain, block, direction)
+    return chain
+
+
+def check_griddability_verdict(seed: int) -> str:
+    """The verdict read off the basis agrees with membership of the chains,
+    and no matrix up to 2 x 2 grids a chain past the pigeonhole bound."""
+    stankova = cl.avoiding((2, 1, 4, 3), (3, 4, 1, 2))
+    classes = [cl.PermClass(b) for b in SAMPLE_CLASSES] + [stankova]
+    for c in classes:
+        v = gr.griddability_verdict(c)
+        for out, (direction, block) in zip((v.sum_exit, v.skew_exit), _CHAINS):
+            for j in range(1, 7):
+                held = out is None or j < out[0]
+                assert c.member(_chain(j, direction, block)) == held, (c.basis, direction, j)
+    # the X-shape grid class (grids.stankova)
+    assert gr.griddability_verdict(stankova).griddable
+    attained = set()
+    for m in gr.all_matrices(2, 2):
+        k = len(m.nonzero_cells()) + m.cols + m.rows - 1
+        for direction, block in _CHAINS:
+            assert gr.grid_member(_chain(k, direction, block), m, max_n=2 * k) is None, (m, direction)
+            if k > 1 and gr.grid_member(_chain(k - 1, direction, block), m, max_n=2 * k):
+                attained.add(m)
+    assert attained
+    return (
+        f"verdict = chain membership for j <= 6 on {len(classes)} classes (Av(2143,3412) griddable); "
+        "no chain of m+c+r-1 blocks grids on any of the 102 matrices up to 2 x 2, "
+        f"and a nonempty chain of m+c+r-2 blocks grids on {len(attained)} of them"
+    )
+
+
 def check_drawing_witnesses(seed: int) -> str:
     rng = _rng(seed, "drawing-witnesses")
     matrices = list(gr.all_matrices(2, 2))
@@ -896,6 +932,7 @@ CHECKS: List[tuple] = [
     ("grids.geom-inside-grid", check_geom_inside_grid),
     ("grids.forest-agreement", check_forest_agreement),
     ("grids.stankova", check_stankova),
+    ("grids.griddability-verdict", check_griddability_verdict),
     ("grids.drawing-witnesses", check_drawing_witnesses),
     ("grids.guard-invariance", check_guard_invariance),
     ("antichains.oscillation-filter", check_oscillation_filter),

@@ -1,5 +1,5 @@
 """Tests for gridded permutations: 0/±1 matrices, cell graphs, monotone and
-geometric grid classes, drawings, and griddability evidence."""
+geometric grid classes, drawings, and the griddability verdict."""
 
 import itertools
 import tracemalloc
@@ -8,8 +8,8 @@ import pytest
 
 from permpat import grids
 from permpat import (
-    GRIDDABILITY_NOTE,
     GriddedPermutation,
+    PermClass,
     SizeGuardError,
     X_MATRIX,
     ZeroPmOneMatrix,
@@ -22,7 +22,7 @@ from permpat import (
     enumerate_members,
     geom_member,
     grid_member,
-    griddability_evidence,
+    griddability_verdict,
     matrix_from_json,
     matrix_from_rows_top_first,
     matrix_to_json,
@@ -30,7 +30,7 @@ from permpat import (
     validate_gridded,
 )
 from permpat.feasibility import solve_strict
-from permpat.perm import all_perms
+from permpat.perm import all_perms, contains, reduce_sequence, sum_perms
 
 
 class TestMatrixConstruction:
@@ -726,23 +726,71 @@ def test_geometric_system_matches_four_branches():
     assert griddings == 7502
 
 
-class TestGriddabilityEvidence:
-    def test_av321_chains(self):
-        ev = griddability_evidence(avoiding((3, 2, 1)), 3)
-        assert ev.depth == 3
-        assert ev.sum_chain == (True, True, True)
-        assert ev.skew_chain == (True, True, False)
+def _chain(k, direction):
+    """The k-fold direct sum of 21 or the k-fold skew sum of 12."""
+    block = (2, 1) if direction == "direct" else (1, 2)
+    chain = ()
+    for _ in range(k):
+        chain = sum_perms(chain, block, direction)
+    return chain
 
-    def test_note_takes_no_verdict(self):
-        assert "No verdict" in GRIDDABILITY_NOTE
-        assert "ambiguous" in GRIDDABILITY_NOTE
-        assert griddability_evidence(avoiding((3, 2, 1)), 2).note == GRIDDABILITY_NOTE
 
-    def test_depth_guard(self):
-        with pytest.raises(SizeGuardError):
-            griddability_evidence(avoiding((3, 2, 1)), 5)
-        ev = griddability_evidence(avoiding((3, 2, 1)), 5, max_n=10)
-        assert ev.sum_chain == (True,) * 5
+def _exits(verdict):
+    return zip((verdict.sum_exit, verdict.skew_exit), ("direct", "skew"))
+
+
+class TestGriddabilityVerdict:
+    def test_component_rule_matches_brute_force(self):
+        # Av(beta) has an exit iff beta lies in the chain of |beta| blocks
+        checked = 0
+        for n in range(1, 8):
+            for beta in all_perms(n):
+                for out, direction in _exits(griddability_verdict(avoiding(beta))):
+                    assert (out is not None) == contains(beta, _chain(n, direction)), (beta, direction)
+                    checked += 1
+        assert checked == 2 * 5913
+
+    def test_exit_is_the_least_k_and_its_witness_reduces_to_beta(self):
+        for n in range(1, 8):
+            for beta in all_perms(n):
+                for out, direction in _exits(griddability_verdict(avoiding(beta))):
+                    if out is None:
+                        continue
+                    k, found, witness = out
+                    chain = _chain(k, direction)
+                    assert found == beta
+                    assert reduce_sequence([chain[i - 1] for i in witness]) == beta
+                    assert not contains(beta, _chain(k - 1, direction)), (beta, direction)
+
+    def test_fewest_components_win_over_basis_order(self):
+        # 123 comes first in the basis but leaves the chain at 3 blocks;
+        # 2143 leaves it at 2
+        v = griddability_verdict(avoiding((1, 2, 3), (2, 1, 4, 3)))
+        assert v.sum_exit == (2, (2, 1, 4, 3), (1, 2, 3, 4))
+        assert v.skew_exit is None
+
+    @pytest.mark.parametrize(
+        "basis, sum_k, skew_k, griddable",
+        [
+            (((1,),), 1, 1, True),
+            (((1, 2),), 2, 1, True),
+            (((2, 1, 4, 3), (3, 4, 1, 2)), 2, 2, True),
+            (((3, 2, 1),), None, 3, False),
+            (((2, 1, 4, 3),), 2, None, False),
+            (((2, 4, 1, 3), (3, 1, 4, 2)), None, None, False),
+            ((), None, None, False),
+            (((),), 0, 0, True),
+        ],
+    )
+    def test_pinned_verdicts(self, basis, sum_k, skew_k, griddable):
+        v = griddability_verdict(PermClass(basis))
+        assert v.griddable is griddable
+        for out, k in zip((v.sum_exit, v.skew_exit), (sum_k, skew_k)):
+            assert (out is None) if k is None else (out[0] == k)
+
+    def test_empty_class_exits_at_the_empty_chain(self):
+        v = griddability_verdict(PermClass(((),)))
+        assert v.sum_exit == v.skew_exit == (0, (), ())
 
 
 class TestGuards:

@@ -19,7 +19,8 @@ SRC = str(Path(permpat.__file__).parents[1])
 LAYERS = ("guards", "perm", "labels", "classes", "invgraph", "feasibility", "grids", "antichains")
 
 #: ``permpat.__all__`` as the package exported it when it imported every
-#: layer eagerly: 8 layer modules, ``suite``, and 128 names.
+#: layer eagerly, with the griddability verdict in place of the evidence
+#: report: 8 layer modules, ``suite``, and 127 names.
 EXPORTED = (
     "guards", "SizeGuardError",
     "perm", "Perm", "SubstitutionTree", "SYMMETRY_NAMES", "SUM_DIRECTIONS", "all_patterns",
@@ -44,9 +45,9 @@ EXPORTED = (
     "enumerate_members", "minimal_nonmembers", "plus_one_basis", "plus_one_member",
     "simples_in_class", "union_basis",
     "feasibility", "check_strict", "solve_strict",
-    "grids", "GRID_KINDS", "GRIDDABILITY_NOTE", "GriddabilityEvidence", "GriddedPermutation",
+    "grids", "GRID_KINDS", "GriddabilityVerdict", "GriddedPermutation",
     "X_MATRIX", "ZeroPmOneMatrix", "all_matrices", "cell_graph", "drawing_coordinates",
-    "enumerate_grid", "geom_member", "grid_member", "griddability_evidence", "matrix_from_json",
+    "enumerate_grid", "geom_member", "grid_member", "griddability_verdict", "matrix_from_json",
     "matrix_from_rows_top_first", "matrix_to_json", "validate_gridded",
     "antichains", "FAMILY_IDS", "amr_oscillation_anchors", "amr_oscillation_member",
     "amr_tarjan_anchors", "amr_tarjan_member", "antichain_member", "increasing_oscillations",
@@ -172,7 +173,7 @@ class TestCliLoading:
 
 class TestNamespace:
     def test_all_is_unchanged(self):
-        assert len(permpat.__all__) == len(set(permpat.__all__)) == 137
+        assert len(permpat.__all__) == len(set(permpat.__all__)) == 136
         assert sorted(permpat.__all__) == sorted(EXPORTED)
 
     def test_every_name_is_its_layers_object(self):

@@ -418,6 +418,14 @@ class TestInflationAndTrees:
         with pytest.raises(ValueError):
             inflate((1, 2), [(1,)])
 
+    @pytest.mark.parametrize(
+        "skeleton, blocks",
+        [((1, 2), [(1, 1), (1,)]), ((1, 1), [(1,), (1,)]), ((2, 1), [(1,), (True,)]), ((1,), [(0,)])],
+    )
+    def test_inflate_refuses_non_permutations(self, skeleton, blocks):
+        with pytest.raises(ValueError, match="permutation"):
+            inflate(skeleton, blocks)
+
     def test_tree_shape_anchor(self):
         tree = decompose_tree((4, 7, 9, 8, 3, 2, 1, 5, 6))
         assert tree.shape() == (
