@@ -16,9 +16,8 @@ from .guards import check_size
 from .perm import (
     Perm,
     check_perm,
-    _simple_split,
     _slot_bounds,
-    _sum_split,
+    _walk,
     _witness,
     is_simple,
     one_point_deletions,
@@ -368,9 +367,9 @@ def closure_member(pi: Perm, c: PermClass, kind: str) -> bool:
       skeleton otherwise).
 
     This is exact because C is downward closed: every component and every
-    skeleton of a member of C is in C.  The walk recurses once per tree
-    level it splits, like :func:`permpat.perm.decompose_tree`.  The empty
-    permutation is in a closure of C exactly when it is in C.
+    skeleton of a member of C is in C.  The walk is that of :func:`permpat.perm.decompose_tree`,
+    off an explicit stack, and stops at C's first no.  The empty permutation
+    is in a closure of C exactly when it is in C; a non-permutation is a ``ValueError``.
 
     >>> closure_member((2, 4, 1, 3), avoiding((2, 4, 1, 3), (3, 1, 4, 2)), "substitution")
     False
@@ -383,23 +382,10 @@ def closure_member(pi: Perm, c: PermClass, kind: str) -> bool:
         raise ValueError(f"unknown closure kind {kind!r}; expected one of {CLOSURE_KINDS}")
     splits = _CLOSURES[kind]
     substitution = "simple" in splits
-
-    def walk(p: Perm, cut: Optional[str]) -> bool:
-        if len(p) < 2:
-            return c.member(p)
-        split = _sum_split(p, cut)
-        if split is not None:
-            (node, direction, skeleton), parts = split
-            if node in splits:
-                return (not substitution or c.member(skeleton)) and all(
-                    walk(q, direction) for q in parts
-                )
-        elif substitution:
-            skeleton, blocks = _simple_split(p)
-            return c.member(skeleton) and all(walk(b, None) for b in blocks)
-        return c.member(p)
-
-    return walk(pi, None)
+    for node, skeleton, _ in _walk(check_perm(pi), splits):
+        if (substitution or node not in splits) and not c.member(skeleton):
+            return False
+    return True
 
 
 def closure_member_tree(pi: Perm, c: PermClass) -> bool:

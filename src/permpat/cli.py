@@ -4,9 +4,9 @@ among them ``preimages``, ``automorphisms``, ``classify`` and
 ``griddability_verdict``, have no verb and are reached from Python only.
 
 Exit codes: 0 = true / success, 1 = false (boolean verbs) or a failing
-suite, 2 = usage error, 3 = size-guard refusal (also for input nested
-deeper than Python's recursion limit).  With ``--json`` every verb
-prints exactly one JSON object on stdout.
+suite, 2 = usage error, 3 = size-guard refusal.  With ``--json`` every
+verb prints exactly one JSON object on stdout; ``decompose`` gives its tree
+as a flat pre-order list of nodes.
 """
 from __future__ import annotations
 
@@ -56,15 +56,6 @@ def _poset_from_flag(args) -> lb.FinitePoset:
     if args.poset:
         return lb.poset_from_json(_load_json(args.poset))
     return lb.TWO_ANTICHAIN
-
-
-def _tree_to_dict(tree: pm.SubstitutionTree) -> dict:
-    out = {"kind": tree.kind}
-    if tree.skeleton is not None:
-        out["skeleton"] = list(tree.skeleton)
-    if tree.children:
-        out["children"] = [_tree_to_dict(c) for c in tree.children]
-    return out
 
 
 def _labeled_from_arg(text: str) -> lb.LabeledPermutation:
@@ -139,7 +130,12 @@ def _do_symmetry(args) -> Outcome:
 
 def _do_decompose(args) -> Outcome:
     tree = pm.decompose_tree(pm.parse_perm(args.perm))
-    return 0, [tree.shape()], {"tree": _tree_to_dict(tree)}
+    # a flat pre-order list, so the JSON nests no deeper for a deeper tree
+    nodes = [
+        {"kind": node.kind, "arity": k} | ({"skeleton": list(node.skeleton)} if node.skeleton else {})
+        for node, k in tree.preorder()
+    ]
+    return 0, [tree.shape()], {"tree": nodes}
 
 
 def _do_intervals(args) -> Outcome:
@@ -449,7 +445,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"warning: size guards raised to {args.max_n}", file=sys.stderr)
     try:
         code, lines, payload = args.handler(args)
-    except (SizeGuardError, RecursionError) as exc:
+    except SizeGuardError as exc:
         print(f"size-guard refusal: {exc}", file=sys.stderr)
         return 3
     except (ValueError, IndexError, KeyError, OSError, json.JSONDecodeError) as exc:

@@ -9,7 +9,6 @@ permutation serializes as the empty string.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -475,6 +474,11 @@ def inflate(sigma: Perm, alphas: Sequence[Perm]) -> Perm:
         )
     if any(len(a) == 0 for a in alphas):
         raise ValueError("inflation blocks must be nonempty")
+    return _inflate(sigma, alphas)
+
+
+def _inflate(sigma: Sequence[int], alphas: Sequence[Perm]) -> Perm:
+    """:func:`inflate` without its checks, for blocks the caller built."""
     sizes = [0] * (len(sigma) + 1)
     for v, alpha in zip(sigma, alphas):
         sizes[v] = len(alpha)
@@ -483,7 +487,8 @@ def inflate(sigma: Perm, alphas: Sequence[Perm]) -> Perm:
     out = []
     for v, alpha in zip(sigma, alphas):
         off = below[v - 1]
-        out.extend([off + x for x in alpha])
+        # most blocks of a tree are leaves, and one entry needs no comprehension
+        out += [off + 1] if len(alpha) == 1 else [off + x for x in alpha]
     return tuple(out)
 
 
@@ -498,49 +503,78 @@ class SubstitutionTree:
     ``kind`` is one of ``leaf``, ``plus`` (children >= 2, none of them a
     plus node), ``minus`` (dually), or ``simple`` (children inflate the
     ``skeleton``, a simple permutation of length >= 4).
+
+    The methods below run off an explicit stack, so they work at any depth;
+    the generated ``==``, ``hash`` and ``repr`` still recurse.
     """
 
     kind: str
     children: tuple = ()
     skeleton: Optional[Perm] = None
 
+    def preorder(self) -> list:
+        """``(node, number of children)`` for every node, in pre-order."""
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            out.append((node, len(node.children)))
+            if node.children:
+                stack += node.children[::-1]
+        return out
+
     def evaluate(self) -> Perm:
-        """The permutation the tree represents (recursive inflation)."""
-        if self.kind == "leaf":
-            return (1,)
-        blocks = [child.evaluate() for child in self.children]
-        if self.kind == "simple":
-            return inflate(self.skeleton, blocks)
-        return functools.reduce(direct_sum if self.kind == "plus" else skew_sum, blocks, ())
+        """The permutation the tree represents: each node inflates its skeleton by its children's."""
+        return _fold(self.preorder(), _evaluate_node, (1,))
 
     def leaf_count(self) -> int:
-        if self.kind == "leaf":
-            return 1
-        return sum(child.leaf_count() for child in self.children)
+        return sum([not k for _, k in self.preorder()])
 
     def shape(self) -> str:
         """Compact textual form, e.g. ``2413[leaf, +[leaf, -[leaf, leaf]], ...]``."""
-        if self.kind == "leaf":
-            return "leaf"
-        inner = ", ".join(child.shape() for child in self.children)
-        if self.kind == "plus":
-            return f"+[{inner}]"
-        if self.kind == "minus":
-            return f"-[{inner}]"
-        return f"{''.join(map(str, self.skeleton))}[{inner}]" if len(
-            self.skeleton
-        ) <= 9 else f"({format_perm(self.skeleton)})[{inner}]"
+        return _fold(self.preorder(), _shape_node, "leaf")
+
+
+def _evaluate_node(record: tuple, blocks: list) -> Perm:
+    node, k = record
+    skeleton = node.skeleton or (range(1, k + 1) if node.kind == "plus" else range(k, 0, -1))
+    return _inflate(skeleton, blocks)
+
+
+def _shape_node(record: tuple, inner: list) -> str:
+    node, _ = record
+    skeleton = node.skeleton
+    if skeleton is None:
+        label = "+" if node.kind == "plus" else "-"
+    else:
+        label = "".join(map(str, skeleton)) if len(skeleton) <= 9 else f"({format_perm(skeleton)})"
+    return f"{label}[{', '.join(inner)}]"
+
+
+def _fold(preorder: list, combine: Callable, leaf: object) -> object:
+    """The root's value in a post-order fold over a tree's pre-order list of
+    tuples, each ending in its node's number of children: ``leaf`` for a leaf,
+    else ``combine(node, its children's values)``, off one list as a stack."""
+    values = []
+    for node in reversed(preorder):
+        k = node[-1]
+        if k:
+            kids = values[: -k - 1 : -1]  # the top k, the first child's last pushed
+            del values[-k:]
+            values.append(combine(node, kids))
+        else:
+            values.append(leaf)
+    return values[0]
 
 
 #: The one leaf node every tree shares (nodes are frozen).
 _LEAF = SubstitutionTree("leaf")
-#: Node kind, sum direction and skeleton of each sum node, in the order they
-#: are tried.
-_SUM_NODES = (("plus", "direct", (1, 2)), ("minus", "skew", (2, 1)))
+#: Node kind and skeleton of a sum node in each direction.
+_SUM_NODES = {"direct": ("plus", (1, 2)), "skew": ("minus", (2, 1))}
 
 
 def decompose_tree(pi: Perm) -> SubstitutionTree:
-    """The substitution decomposition tree of a nonempty permutation.
+    """The substitution decomposition tree of a nonempty permutation; a
+    sequence that is not a permutation is refused with ``ValueError``.
 
     The root is a plus/minus node when ``pi`` is a direct/skew sum, otherwise
     a simple node whose skeleton has length >= 4; nodes of arity >= 2 absorb
@@ -552,37 +586,39 @@ def decompose_tree(pi: Perm) -> SubstitutionTree:
     >>> decompose_tree((3, 1, 4, 2)).shape()
     '3142[leaf, leaf, leaf, leaf]'
     """
+    pi = check_perm(pi)
     if len(pi) == 0:
         raise ValueError("the empty permutation has no decomposition tree")
-    return _tree(pi, None)
+    return _fold(list(_walk(pi)), _tree_node, _LEAF)
 
 
-def _tree(pi: Perm, cut: Optional[str]) -> SubstitutionTree:
-    """The tree of ``pi``, a component of a sum in direction ``cut`` (None
-    for a root or a block of a simple node)."""
-    if len(pi) == 1:
-        return _LEAF
-    split = _sum_split(pi, cut)
-    if split is not None:
-        (kind, direction, _), parts = split
-        return SubstitutionTree(kind, tuple([_tree(c, direction) for c in parts]))
-    skeleton, blocks = _simple_split(pi)
-    return SubstitutionTree("simple", tuple([_tree(b, None) for b in blocks]), skeleton)
+def _tree_node(record: tuple, children: list) -> SubstitutionTree:
+    kind, skeleton, _ = record
+    return SubstitutionTree(kind, tuple(children), skeleton if kind == "simple" else None)
 
 
-def _sum_split(pi: Perm, cut: Optional[str]) -> Optional[tuple]:
-    """The root split of ``pi`` when its root is a sum node: that node's row
-    of :data:`_SUM_NODES` and the components it splits ``pi`` into, or None.
-
-    ``pi`` is a component of a sum in direction ``cut`` (None for a root or
-    a block of a simple node), so it is indecomposable in that direction and
-    is not split along it again."""
-    for node in _SUM_NODES:
-        if node[1] != cut:
-            parts = components(pi, node[1])
-            if len(parts) >= 2:
-                return node, parts
-    return None
+def _walk(pi: Perm, splits: tuple = ("plus", "minus", "simple")) -> Iterator[tuple]:
+    """The nodes of the substitution decomposition of ``pi`` in pre-order,
+    off an explicit stack, as ``(kind, skeleton, number of children)``; a
+    sum node's skeleton is 12 or 21.  A node whose kind is not in ``splits``,
+    like a leaf (an empty ``pi`` is one), is not split and is its own skeleton."""
+    stack = [pi]
+    while stack:
+        p = stack.pop()
+        if len(p) < 2:
+            yield "leaf", p, 0
+            continue
+        # a direct sum starts below its last entry and a skew sum above it,
+        # so the two ends pick the only direction that can split p
+        direction = "direct" if p[0] < p[-1] else "skew"
+        parts = components(p, direction)
+        kind, skeleton = _SUM_NODES[direction] if len(parts) >= 2 else ("simple", None)
+        if kind not in splits:
+            skeleton, parts = p, ()
+        elif kind == "simple":
+            skeleton, parts = _simple_split(p)
+        yield kind, skeleton, len(parts)
+        stack += reversed(parts)
 
 
 def _simple_split(pi: Perm) -> tuple:

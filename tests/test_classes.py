@@ -261,6 +261,23 @@ class TestClosures:
         with pytest.raises(ValueError):
             closure_member((1,), SEPARABLE, "transitive")
 
+    @pytest.mark.parametrize("values", [(2, 3), (0, 1), (3, 1, 2, 2), (1.0, 2.0), (True,)])
+    def test_refuses_non_permutations(self, values):
+        with pytest.raises(ValueError, match="permutation"):
+            closure_member(values, SEPARABLE, "substitution")
+
+    def test_tree_deeper_than_recursion_limit(self):
+        chain = (1,)  # 1 - (1 + (1 - ...)): one tree level per entry
+        for k in range(1999):
+            chain = (pm.skew_sum if k % 2 == 0 else pm.direct_sum)((1,), chain)
+        c = avoiding((3, 2, 1))
+        # its skeletons 12 and 21 are in Av(321), and the chain is separable
+        assert closure_member(chain, c, "separable")
+        assert closure_member(chain, c, "substitution")
+        # the chain's skew root, and its direct-sum child, contain 321
+        assert not closure_member(chain, c, "sum")
+        assert not closure_member(chain, c, "skew")
+
     def test_forty_entries_decided_without_enumerating_patterns(self, monkeypatch):
         def no_patterns(*args):
             raise AssertionError("a closure decision enumerated patterns")

@@ -476,13 +476,27 @@ class TestExitCodesAndGuards:
         # contains takes no --max-n, so the refusal gives no hint to raise it
         assert err.rstrip().endswith("the cap is fixed")
 
-    def test_tree_deeper_than_recursion_limit_exit_three(self, capsys):
-        chain = (1,)  # 1 + (1 - (1 + ...)): one tree level per entry
+    def test_tree_deeper_than_recursion_limit_answers(self, capsys):
+        chain, expected = (1,), "leaf"  # 1 + (1 - (1 + ...)): one tree level per entry
         for k in range(1298):
             chain = (pm.skew_sum if k % 2 == 0 else pm.direct_sum)((1,), chain)
-        code, out, err = run(capsys, "decompose", pm.format_perm(chain))
-        assert code == 3 and out == ""
-        assert err.startswith("size-guard refusal") and len(err.splitlines()) == 1
+            expected = f"{'-' if k % 2 == 0 else '+'}[leaf, {expected}]"
+        text = pm.format_perm(chain)
+        code, out, err = run(capsys, "decompose", text)
+        assert code == 0 and err == ""
+        assert out == expected + "\n"
+        # the pre-order node list rebuilds the same shape
+        code, out, _ = run(capsys, "decompose", text, "--json")
+        assert code == 0
+        shapes = []
+        for node in reversed(json.loads(out)["tree"]):
+            inner = [shapes.pop() for _ in range(node["arity"])]
+            label = {"leaf": "leaf", "plus": "+", "minus": "-"}[node["kind"]]
+            shapes.append(f"{label}[{', '.join(inner)}]" if inner else label)
+        assert shapes == [expected]
+        for kind in ("separable", "substitution"):
+            code, out, _ = run(capsys, "closure-member", kind, text, "--class", AV321_JSON)
+            assert code == 0 and out.strip() == "true"
 
     def test_max_n_override_warns(self, capsys):
         code, out, err = run(

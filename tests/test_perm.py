@@ -447,6 +447,26 @@ class TestInflationAndTrees:
         with pytest.raises(ValueError):
             decompose_tree(())
 
+    @pytest.mark.parametrize("values", [(2, 3), (0, 1), (3, 1, 2, 2), (1.0, 2.0), (True,)])
+    def test_tree_refuses_non_permutations(self, values):
+        with pytest.raises(ValueError, match="permutation"):
+            decompose_tree(values)
+
+
+class TestTreeDeeperThanRecursionLimit:
+    def test_builds_and_evaluates_back(self):
+        pi, shape = (1,), "leaf"  # 1 - (1 + (1 - ...)): one tree level per entry
+        for k in range(1999):
+            pi = (skew_sum if k % 2 == 0 else direct_sum)((1,), pi)
+            shape = f"{'-' if k % 2 == 0 else '+'}[leaf, {shape}]"
+        # the dataclass's own ==, hash and repr recurse, so the tree itself
+        # is not compared
+        tree = decompose_tree(pi)
+        assert tree.evaluate() == pi
+        assert tree.shape() == shape
+        assert tree.leaf_count() == 2000
+        assert [node.kind for node, _ in tree.preorder()[:4]] == ["minus", "leaf", "plus", "leaf"]
+
 
 def _oracle_components(pi, direction):
     """Slices between the cuts where a prefix holds the lowest (direct) or

@@ -38,17 +38,24 @@ def test_tuples_built_from_lists(layer):
 
 def _frames_per_call(source, name):
     """The line of each nested function or lambda in the top-level function
-    ``name`` of ``source``, and of each call it makes to itself by name."""
-    function = next(
-        node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef) and node.name == name
-    )
+    or ``Class.method`` ``name`` of ``source``, and of each call it makes to
+    itself by name (for a method, to any attribute of that name)."""
+    body = ast.parse(source).body
+    *owner, name = name.split(".")
+    if owner:
+        body = next(node for node in body if isinstance(node, ast.ClassDef) and node.name == owner[0]).body
+    function = next(node for node in body if isinstance(node, ast.FunctionDef) and node.name == name)
     return sorted(
         node.lineno
         for node in ast.walk(function)
         if node is not function
         and (
             isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+            or isinstance(node, ast.Call)
+            and (
+                isinstance(node.func, ast.Name) and node.func.id == name
+                or owner and isinstance(node.func, ast.Attribute) and node.func.attr == name
+            )
         )
     )
 
@@ -57,6 +64,8 @@ def test_finder_sees_nested_functions_and_self_calls():
     source = "def f(n):\n    g = lambda: 0\n    def h():\n        pass\n    return f(n - 1)\n"
     assert _frames_per_call(source, "f") == [2, 3, 5]
     assert _frames_per_call("def f(n):\n    return [n for n in range(n)]\n", "f") == []
+    method = "class T:\n    def f(self):\n        return [c.f() for c in self.c] + [g(c) for c in self.c]\n"
+    assert _frames_per_call(method, "T.f") == [3]
 
 
 def test_containment_search_is_one_loop():
@@ -64,3 +73,19 @@ def test_containment_search_is_one_loop():
     # frame per entry, and with it the recursion limit
     module = importlib.import_module("permpat.perm")
     assert _frames_per_call(Path(module.__file__).read_text(), "_witness") == []
+
+
+@pytest.mark.parametrize(
+    "layer, name",
+    [
+        ("perm", "decompose_tree"),
+        ("perm", "_walk"),
+        ("perm", "_fold"),
+        *[("perm", f"SubstitutionTree.{m}") for m in ("preorder", "evaluate", "leaf_count", "shape")],
+        ("classes", "closure_member"),
+    ],
+)
+def test_tree_walks_are_loops(layer, name):
+    # likewise for a frame per level of a substitution decomposition tree
+    module = importlib.import_module(f"permpat.{layer}")
+    assert _frames_per_call(Path(module.__file__).read_text(), name) == []
