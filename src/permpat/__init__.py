@@ -7,7 +7,7 @@ Importing the package runs none of its layers.  Each layer module is in
 ``sys.modules`` and bound as a package attribute from the start, but its body
 runs when one of its attributes is first read; a public name is bound into
 the package on its first lookup.  So a caller that only decomposes
-permutations compiles ``guards`` and ``perm`` and nothing else.
+permutations compiles ``perm`` and nothing else.
 """
 
 import sys as _sys

@@ -235,12 +235,12 @@ def _line_fits(reading_order, signs) -> bool:
     return i == n
 
 
-def _fitting_cuts(inv, lines, k: int = 0, a: int = 0) -> Iterator[tuple]:
-    """Every cut of a permutation's positions ``a``.. into consecutive runs,
-    one for each of the lines ``k``.. in turn, that leaves every line
-    fitting on its own, as the line (numbered from 1) of each position.  The
-    order is ascending in the cut points, which is the order of ascending
-    part sizes; lazy, so a search can stop at the first cut.
+def _fitting_cuts(inv, lines) -> Iterator[tuple]:
+    """Every cut of a permutation's positions into consecutive runs, one for
+    each line in turn, that leaves every line fitting on its own, as the
+    line (numbered from 1) of each position.  The order is ascending in the
+    cut points, which is the order of ascending part sizes; lazy, so a
+    search can stop at the first cut.
 
     ``inv`` is the inverse of the permutation, so it lists the positions in
     value order, and the entries of the run of positions ``a+1..b`` read by
@@ -252,7 +252,8 @@ def _fitting_cuts(inv, lines, k: int = 0, a: int = 0) -> Iterator[tuple]:
     itself), read by position.  A longer run from the same start holds
     every entry of a run that fails, and removing entries from a band keeps
     it monotone, so the longer run fails too: the search moves on without
-    building it or its continuations.
+    building it or its continuations.  It runs off a stack of (line, start,
+    next cut point, cut so far) entries, with no Python frame per line.
 
     >>> list(_fitting_cuts((1, 2), [[1], [1]]))
     [(2, 2), (1, 2), (1, 1)]
@@ -261,17 +262,18 @@ def _fitting_cuts(inv, lines, k: int = 0, a: int = 0) -> Iterator[tuple]:
     >>> list(_fitting_cuts((2, 1), [[1], [], [-1]]))
     [(3, 3), (1, 3)]
     """
-    n = len(inv)
-    last = k == len(lines) - 1
-    for b in range(n if last else a, n + 1):
-        if not _line_fits([i for i in inv if a < i <= b], lines[k]):
-            return
-        head = (k + 1,) * (b - a)
-        if last:
+    n, last = len(inv), len(lines) - 1
+    stack = [(0, 0, n if last == 0 else 0, ())]  # the last line's run ends at n
+    while stack:
+        k, a, b, cut = stack.pop()
+        if b > n or not _line_fits([i for i in inv if a < i <= b], lines[k]):
+            continue
+        head = cut + (k + 1,) * (b - a)
+        if k == last:
             yield head
         else:
-            for rest in _fitting_cuts(inv, lines, k + 1, b):
-                yield head + rest
+            # line k's next cut point waits below every cut that continues this one
+            stack += [(k, a, b + 1, cut), (k + 1, b, n if k + 1 == last else b, head)]
 
 
 def _inverse(pi: Perm) -> list:

@@ -12,7 +12,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .classes import _tuple_layers
 from .guards import check_size
@@ -119,13 +119,13 @@ def _adjacency(g: Graph) -> list:
     return adj
 
 
-def _backtrack(a: Graph, b: Graph, fits: Callable, found: Callable) -> None:
-    """Map the vertices of ``a`` one at a time, in decreasing order of
-    degree, to distinct vertices of ``b`` so that edges and non-edges among
-    the mapped vertices are kept.  A pair ``(av, bv)`` is tried only when
-    ``fits(av, bv, deg_a(av), deg_b(bv))`` holds; each complete map
-    (1-based tuple: image of each a-vertex) is passed to ``found``, and the
-    search stops once that returns true.
+def _maps(a: Graph, b: Graph, fits: Callable) -> Iterator[tuple]:
+    """Each map of the vertices of ``a`` to distinct vertices of ``b`` that
+    keeps edges and non-edges (1-based tuple: image of each a-vertex), lazily.
+    The vertices of ``a`` are mapped one at a time, in decreasing order of
+    degree, off a stack of their candidates still to try, so no Python frame
+    is taken per vertex; a pair ``(av, bv)`` is tried only when
+    ``fits(av, bv, deg_a(av), deg_b(bv))`` holds.
 
     The pair is consistent when bv's neighbours among the used b-vertices
     are exactly the images of av's neighbours among the mapped a-vertices:
@@ -139,28 +139,37 @@ def _backtrack(a: Graph, b: Graph, fits: Callable, found: Callable) -> None:
         for av in order
     ]
     image = [0] * (a.n + 1)
-
-    def extend(idx: int, used: int) -> bool:
-        if idx == len(order):
-            return found(tuple(image[1:]))
-        want = 0
-        for w in earlier[idx]:
-            want |= 1 << image[w]
-        for bv in candidates[idx]:
-            if not used >> bv & 1 and badj[bv] & used == want:
-                image[order[idx]] = bv
-                if extend(idx + 1, used | 1 << bv):
-                    return True
-        return False
-
-    extend(0, 0)
+    stack, used = [], 0  # per a-vertex: candidates left, mask to match, b-vertices used
+    while True:
+        if len(stack) == len(order):
+            yield tuple(image[1:])
+        else:
+            want = 0
+            for w in earlier[len(stack)]:
+                want |= 1 << image[w]
+            stack.append((iter(candidates[len(stack)]), want, used))
+        # the next consistent candidate of the deepest a-vertex that has one
+        while stack:
+            rest, want, used = stack[-1]
+            for bv in rest:
+                if not used >> bv & 1 and badj[bv] & used == want:
+                    break
+            else:
+                stack.pop()
+                continue
+            image[order[len(stack) - 1]] = bv
+            used |= 1 << bv
+            break
+        else:
+            return
 
 
 def induced_embeds(
     h: Graph, g: Graph, poset: Optional[FinitePoset] = None
 ) -> Optional[tuple]:
-    """A vertex map (1-based tuple: image of each h-vertex) embedding ``h``
-    as an induced subgraph of ``g``, or ``None``.
+    """The first vertex map (1-based tuple: image of each h-vertex) that
+    :func:`_maps` finds embedding ``h`` as an induced subgraph of ``g``, or
+    ``None``; the search takes no Python frame per vertex, so any size works.
 
     When both graphs carry labels, the embedding must dominate: the h-label
     is required to lie below the image's g-label in ``poset`` (identity
@@ -174,30 +183,24 @@ def induced_embeds(
     def fits(hv: int, gv: int, hd: int, gd: int) -> bool:
         return gd >= hd and (not use_labels or leq(h.labels[hv - 1], g.labels[gv - 1]))
 
-    maps = []
-    _backtrack(h, g, fits, lambda m: maps.append(m) or True)
-    return maps[0] if maps else None
+    return next(_maps(h, g, fits), None)
 
 
-def _isomorphisms(g: Graph, h: Graph, first: bool) -> list:
-    """The isomorphisms g -> h (labels by identity when both present), or
-    only the first one found when ``first`` is set."""
+def _isomorphisms(g: Graph, h: Graph) -> Iterator[tuple]:
+    """The isomorphisms g -> h (labels by identity when both present), lazily."""
     if g.n != h.n or len(g.edges) != len(h.edges):
-        return []
+        return
     use_labels = g.labels is not None and h.labels is not None
 
     def fits(gv: int, hv: int, gd: int, hd: int) -> bool:
         return gd == hd and (not use_labels or g.labels[gv - 1] == h.labels[hv - 1])
 
-    maps = []
-    _backtrack(g, h, fits, lambda m: maps.append(m) or first)
-    return maps
+    yield from _maps(g, h, fits)
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Optional[tuple]:
     """One isomorphism (labels compared by identity when both present)."""
-    maps = _isomorphisms(g, h, first=True)
-    return maps[0] if maps else None
+    return next(_isomorphisms(g, h), None)
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -208,7 +211,7 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 def all_isomorphisms(g: Graph, h: Graph) -> list:
     """Every isomorphism g -> h (labels by identity when both present)."""
-    return _isomorphisms(g, h, first=False)
+    return list(_isomorphisms(g, h))
 
 
 def automorphisms(g: Graph, max_n: Optional[int] = None) -> list:

@@ -14,8 +14,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .guards import check_size
-
 if TYPE_CHECKING:  # only the annotation names it; fractions would load decimal too
     from fractions import Fraction
 
@@ -119,18 +117,14 @@ def _slot_bounds(sigma: Perm) -> tuple[list[int], list[int]]:
     return lower, upper
 
 
-#: The longest pattern the containment search takes, a fixed cap.
-WITNESS_MAX_K = 500
-
-
 def containment_witness(sigma: Perm, pi: Perm) -> Optional[tuple]:
     """The lexicographically least increasing index sequence (1-based) of
     ``pi`` whose entries reduce to ``sigma``, or ``None``.
 
     Depth-first embedding with pruning on remaining length and on the value
-    interval forced by the already-embedded entries.  A pattern longer than
-    :data:`WITNESS_MAX_K` (and no longer than ``pi``) is refused with
-    :class:`SizeGuardError` before the search starts.
+    interval forced by the already-embedded entries.  The search is one loop
+    with no Python frame per pattern entry, so a pattern of any length is
+    searched; one longer than ``pi`` is absent with no search at all.
 
     >>> containment_witness((3, 2, 5, 1, 4), (4, 3, 2, 6, 7, 9, 1, 8, 5))
     (1, 2, 4, 7, 9)
@@ -150,16 +144,13 @@ def _witness(
     The search is one loop over the slot ``j`` being filled: it tries the
     positions of slot j in increasing order and steps back to slot j - 1
     when none is left, so the first full embedding it reaches is the
-    lexicographically least.  A pattern longer than :data:`WITNESS_MAX_K`
-    that fits in ``pi`` is refused with :class:`SizeGuardError` before any
-    search work; a pattern longer than ``pi`` is absent with no search at
-    all."""
+    lexicographically least.  A pattern longer than ``pi`` is absent with
+    no search at all."""
     k, n = len(sigma), len(pi)
     if k == 0:
         return ()
     if k > n:
         return None
-    check_size("containment pattern", k, WITNESS_MAX_K)
     lower, upper = plan or _slot_bounds(sigma)
     chosen = [0] * k
     # slot j takes a position in pi no later than ``last``, which leaves
@@ -496,7 +487,7 @@ def _inflate(sigma: Sequence[int], alphas: Sequence[Perm]) -> Perm:
 # substitution decomposition trees
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SubstitutionTree:
     """A node of a substitution decomposition tree.
 
@@ -504,8 +495,8 @@ class SubstitutionTree:
     plus node), ``minus`` (dually), or ``simple`` (children inflate the
     ``skeleton``, a simple permutation of length >= 4).
 
-    The methods below run off an explicit stack, so they work at any depth;
-    the generated ``==``, ``hash`` and ``repr`` still recurse.
+    The methods below, ``==``, ``hash`` and ``repr`` among them, run off
+    an explicit stack, so they work at any depth.
     """
 
     kind: str
@@ -533,6 +524,21 @@ class SubstitutionTree:
         """Compact textual form, e.g. ``2413[leaf, +[leaf, -[leaf, leaf]], ...]``."""
         return _fold(self.preorder(), _shape_node, "leaf")
 
+    def _records(self) -> list:
+        """Each node's class, kind, skeleton and arity in pre-order, which fix the tree."""
+        return [(node.__class__, node.kind, node.skeleton, k) for node, k in self.preorder()]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._records() == other._records()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._records()))
+
+    def __repr__(self) -> str:
+        return _fold(self.preorder(), _repr_node, None)
+
 
 def _evaluate_node(record: tuple, blocks: list) -> Perm:
     node, k = record
@@ -550,10 +556,16 @@ def _shape_node(record: tuple, inner: list) -> str:
     return f"{label}[{', '.join(inner)}]"
 
 
+def _repr_node(record: tuple, inner: list) -> str:
+    node, k = record
+    children = ", ".join(inner) + "," * (k == 1)
+    return f"{node.__class__.__qualname__}(kind={node.kind!r}, children=({children}), skeleton={node.skeleton!r})"
+
+
 def _fold(preorder: list, combine: Callable, leaf: object) -> object:
-    """The root's value in a post-order fold over a tree's pre-order list of
-    tuples, each ending in its node's number of children: ``leaf`` for a leaf,
-    else ``combine(node, its children's values)``, off one list as a stack."""
+    """The root's value in a post-order fold over a pre-order list of tuples,
+    each ending in its node's number of children: ``leaf`` (unless None) for
+    a leaf, else ``combine(node, its children's values)``, off one list."""
     values = []
     for node in reversed(preorder):
         k = node[-1]
@@ -562,7 +574,7 @@ def _fold(preorder: list, combine: Callable, leaf: object) -> object:
             del values[-k:]
             values.append(combine(node, kids))
         else:
-            values.append(leaf)
+            values.append(combine(node, []) if leaf is None else leaf)
     return values[0]
 
 

@@ -170,20 +170,17 @@ def check_simple_iff_no_intervals(seed: int) -> str:
 
 
 def check_tree_roundtrip(seed: int) -> str:
-    def no_repeat(node):
-        for child in node.children:
-            assert not (node.kind == child.kind == "plus"), "plus child of plus"
-            assert not (node.kind == child.kind == "minus"), "minus child of minus"
-            if node.kind == "simple":
-                assert pm.is_simple(node.skeleton) and len(node.skeleton) >= 4
-            no_repeat(child)
-
     count = 0
     for n in range(1, 10):
         for pi in pm.all_perms(n):
             tree = pm.decompose_tree(pi)
             assert tree.evaluate() == pi, pi
-            no_repeat(tree)
+            for node, _ in tree.preorder():
+                for child in node.children:
+                    assert not (node.kind == child.kind == "plus"), "plus child of plus"
+                    assert not (node.kind == child.kind == "minus"), "minus child of minus"
+                    if node.kind == "simple":
+                        assert pm.is_simple(node.skeleton) and len(node.skeleton) >= 4
             count += 1
     return f"decomposition trees evaluate back and obey node shape rules on all {count} permutations |pi| <= 9"
 

@@ -468,13 +468,22 @@ class TestExitCodesAndGuards:
         assert code == 2 and out == "" and "255" in err
         assert yielded == []
 
-    def test_pattern_deeper_than_recursion_limit_exit_three(self, capsys):
+    def test_pattern_deeper_than_recursion_limit_answers(self, capsys):
         text = " ".join(map(str, range(1, 1301)))
-        code, out, err = run(capsys, "contains", text[: text.index(" 1201")], text)
-        assert code == 3 and out == ""
-        assert err.startswith("size-guard refusal") and len(err.splitlines()) == 1
-        # contains takes no --max-n, so the refusal gives no hint to raise it
-        assert err.rstrip().endswith("the cap is fixed")
+        pattern = text[: text.index(" 1202")]
+        code, out, err = run(capsys, "contains", pattern, text)
+        assert (code, out, err) == (0, pattern + "\n", "")
+        reverse = " ".join(pattern.split()[::-1])
+        assert run(capsys, "contains", reverse, text) == (1, "", "")
+
+    def test_matrix_with_more_lines_than_recursion_limit_answers(self, capsys, tmp_path):
+        for rows in ([[1]] * 1100, [[1] * 1100]):
+            path = tmp_path / "long.json"
+            path.write_text(json.dumps({"cols": len(rows[0]), "rows": len(rows), "entries": rows}))
+            for verb in ("grid-member", "geom-member"):
+                code, out, err = run(capsys, verb, "2413", "--matrix", str(path))
+                assert code == 0 and err == "", verb
+                assert len(out.splitlines()) == (1 if verb == "grid-member" else 4), verb
 
     def test_tree_deeper_than_recursion_limit_answers(self, capsys):
         chain, expected = (1,), "leaf"  # 1 + (1 - (1 + ...)): one tree level per entry

@@ -793,6 +793,19 @@ class TestGriddabilityVerdict:
         assert v.sum_exit == v.skew_exit == (0, (), ())
 
 
+class TestManyLines:
+    def test_more_lines_than_recursion_limit(self):
+        # the cut search takes one stack entry per line, not one frame
+        pi = (2, 4, 1, 3)
+        expected = {(1, 1100): [(1, 1099), (1, 1100), (1, 1098), (1, 1099)],
+                    (1100, 1): [(1099, 1), (1099, 1), (1100, 1), (1100, 1)]}
+        for (cols, rows), cells in expected.items():
+            m = ZeroPmOneMatrix(cols, rows, [[1] * rows] * cols)
+            assert list(grid_member(pi, m).cells) == cells
+            gp, params = geom_member(pi, m)
+            assert list(gp.cells) == cells and validate_gridded(gp, m)
+
+
 class TestGuards:
     def test_enumerate_guard(self):
         with pytest.raises(SizeGuardError):

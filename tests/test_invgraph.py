@@ -170,6 +170,14 @@ class TestEmbeddingsAndIsomorphism:
             automorphisms(path_graph(11))
         assert automorphisms(path_graph(11), max_n=11)
 
+    def test_graphs_with_more_vertices_than_recursion_limit(self):
+        # the search maps one vertex per step of its loop, not per frame
+        identity = tuple(range(1, 1201))
+        for g in (path_graph(1200), inversion_graph(identity)):
+            assert induced_embeds(g, g) == identity
+            assert is_isomorphic(g, g)
+            assert find_isomorphism(g, g) == identity
+
 
 def brute_embeddings(h, g, leq):
     """Every injective vertex map h -> g, as a tuple of images, that keeps

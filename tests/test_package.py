@@ -85,9 +85,9 @@ class TestLoading:
         assert state["registered"] == sorted(f"permpat.{layer}" for layer in LAYERS)
         assert state["ran"] == []
 
-    def test_decompose_runs_guards_and_perm_only(self):
+    def test_decompose_runs_perm_only(self):
         state = fresh("import permpat\nassert permpat.decompose_tree((2, 4, 1, 3)).kind == 'simple'\n")
-        assert state["ran"] == ["guards", "perm"]
+        assert state["ran"] == ["perm"]
         # perm names Fraction only in an annotation
         assert not state["fractions"]
 
@@ -143,7 +143,7 @@ class TestLoading:
             "f = permpat.intervals\n"
             "assert vars(permpat)['intervals'] is f\n"
         )
-        assert state["ran"] == ["guards", "perm"]
+        assert state["ran"] == ["perm"]
 
 
 class TestCliLoading:

@@ -1,5 +1,6 @@
 """Core permutation operations: parsing, containment, symmetries, sums,
 intervals, simplicity, and the substitution decomposition."""
+import dataclasses
 import itertools
 import random
 
@@ -9,7 +10,6 @@ from permpat import (
     TWO_ANTICHAIN,
     FinitePoset,
     LabeledPermutation,
-    SizeGuardError,
     SubstitutionTree,
     all_patterns,
     all_perms,
@@ -127,30 +127,32 @@ class TestContainment:
 
 
 class TestWitnessCap:
+    """The containment search takes no Python frame per pattern entry, so it
+    has no pattern-length cap: patterns past the recursion limit answer."""
+
     TEXT = tuple(range(1, 1301))
+    PATTERN = tuple(range(1, 1202))
 
-    def test_long_pattern_refused_before_any_search(self, monkeypatch):
-        def no_search(sigma):
-            raise AssertionError("the search started")
-
-        monkeypatch.setattr(pm, "_slot_bounds", no_search)
-        sigma = tuple(range(1, pm.WITNESS_MAX_K + 2))
-        searches = {
+    def searches(self, sigma):
+        return {
             "contains": lambda: contains(sigma, self.TEXT),
             "containment_witness": lambda: containment_witness(sigma, self.TEXT),
             "labeled_containment_witness": lambda: labeled_containment_witness(
                 constant_labels(sigma, "o"), constant_labels(self.TEXT, "o"), TWO_ANTICHAIN
             ),
         }
-        for name, search in searches.items():
-            with pytest.raises(SizeGuardError) as info:
-                search()
-            assert (info.value.actual, info.value.limit) == (len(sigma), 500), name
 
-    def test_pattern_at_the_cap_is_searched(self):
-        sigma = tuple(range(1, pm.WITNESS_MAX_K + 1))
-        assert containment_witness(sigma, self.TEXT) == sigma
-        assert not contains(sigma[::-1], self.TEXT[:600])
+    def test_long_pattern_found(self):
+        answers = {name: search() for name, search in self.searches(self.PATTERN).items()}
+        assert answers == {
+            "contains": True,
+            "containment_witness": self.PATTERN,
+            "labeled_containment_witness": self.PATTERN,
+        }
+
+    def test_long_pattern_reversed_absent(self):
+        answers = {name: search() for name, search in self.searches(self.PATTERN[::-1]).items()}
+        assert answers == {"contains": False, "containment_witness": None, "labeled_containment_witness": None}
 
     def test_pattern_longer_than_the_text_is_absent_with_no_refusal(self):
         assert containment_witness(self.TEXT, (2, 1)) is None
@@ -459,13 +461,66 @@ class TestTreeDeeperThanRecursionLimit:
         for k in range(1999):
             pi = (skew_sum if k % 2 == 0 else direct_sum)((1,), pi)
             shape = f"{'-' if k % 2 == 0 else '+'}[leaf, {shape}]"
-        # the dataclass's own ==, hash and repr recurse, so the tree itself
-        # is not compared
         tree = decompose_tree(pi)
         assert tree.evaluate() == pi
         assert tree.shape() == shape
         assert tree.leaf_count() == 2000
         assert [node.kind for node, _ in tree.preorder()[:4]] == ["minus", "leaf", "plus", "leaf"]
+
+    def test_compares_hashes_and_prints(self):
+        leaf = "SubstitutionTree(kind='leaf', children=(), skeleton=None)"
+        chains, texts = [], []
+        for first in ("minus", "plus"):  # 1 - (1 + ...) and 1 + (1 - ...)
+            pi, text = (1,), leaf
+            for k in range(1999):
+                kind = first if k % 2 == 0 else {"minus": "plus", "plus": "minus"}[first]
+                pi = (skew_sum if kind == "minus" else direct_sum)((1,), pi)
+                text = f"SubstitutionTree(kind={kind!r}, children=({leaf}, {text}), skeleton=None)"
+            chains.append(pi)
+            texts.append(text)
+        tree, again, other = decompose_tree(chains[0]), decompose_tree(chains[0]), decompose_tree(chains[1])
+        assert tree == again and hash(tree) == hash(again) and not tree != again
+        assert tree != other and len({tree, again, other}) == 2
+        assert [repr(tree), repr(other)] == texts
+
+
+#: The dataclass that ``SubstitutionTree`` was before it defined its own
+#: ``==``, ``hash`` and ``repr``: the generated methods recurse once per level.
+_GeneratedTree = dataclasses.make_dataclass(
+    "SubstitutionTree",
+    [("kind", str), ("children", tuple, dataclasses.field(default=())), ("skeleton", object, None)],
+    frozen=True,
+)
+
+
+def _generated(tree):
+    return _GeneratedTree(tree.kind, tuple([_generated(c) for c in tree.children]), tree.skeleton)
+
+
+class TestTreeDunders:
+    def test_agree_with_the_generated_methods_up_to_seven(self):
+        trees = [decompose_tree(pi) for n in range(1, 8) for pi in all_perms(n)]
+        old = [_generated(t) for t in trees]
+        assert [repr(t) for t in trees] == [repr(t) for t in old]
+        # the same partition into equal trees, read through hashing
+        new_index, old_index = {}, {}
+        for t, o in zip(trees, old):
+            assert new_index.setdefault(t, len(new_index)) == old_index.setdefault(o, len(old_index))
+        assert len(new_index) == len(trees)
+        for t in trees[::13]:
+            copy = decompose_tree(t.evaluate())
+            assert t == copy and hash(t) == hash(copy) and not t != copy
+
+    def test_nodes_of_other_types_are_unequal(self):
+        leaf = SubstitutionTree("leaf")
+        assert leaf != _GeneratedTree("leaf") and leaf != "leaf" and leaf != None  # noqa: E711
+        assert SubstitutionTree("plus", (leaf, leaf)) != SubstitutionTree("plus", (leaf, leaf, leaf))
+        assert SubstitutionTree("simple", (), (1,)) != SubstitutionTree("simple", (), (2,))
+
+    def test_repr_of_a_one_child_node(self):
+        node = SubstitutionTree("plus", (SubstitutionTree("simple", (), (1,)),))
+        assert repr(node) == repr(_generated(node))
+        assert repr(node).endswith("skeleton=(1,)),), skeleton=None)")
 
 
 def _oracle_components(pi, direction):

@@ -81,11 +81,17 @@ def test_containment_search_is_one_loop():
         ("perm", "decompose_tree"),
         ("perm", "_walk"),
         ("perm", "_fold"),
-        *[("perm", f"SubstitutionTree.{m}") for m in ("preorder", "evaluate", "leaf_count", "shape")],
+        *[
+            ("perm", f"SubstitutionTree.{m}")
+            for m in ("preorder", "evaluate", "leaf_count", "shape", "__eq__", "__hash__", "__repr__")
+        ],
         ("classes", "closure_member"),
+        ("invgraph", "_maps"),
+        ("grids", "_fitting_cuts"),
     ],
 )
 def test_tree_walks_are_loops(layer, name):
-    # likewise for a frame per level of a substitution decomposition tree
+    # likewise for a frame per level of a substitution decomposition tree,
+    # per mapped vertex of a graph search, or per line of a gridding cut
     module = importlib.import_module(f"permpat.{layer}")
     assert _frames_per_call(Path(module.__file__).read_text(), name) == []
