@@ -2,8 +2,9 @@
 
 Every operation whose cost is exponential in its input carries a documented
 default cap.  Callers (including the CLI via ``--max-n``) may raise most caps
-explicitly; the guard then still fires, but only above the override.  A few
-caps are fixed, and their refusals say so.
+explicitly; the guard then still fires, but only above the raised cap.  An
+override below the default cap leaves the default in place.  A few caps are
+fixed, and their refusals say so.
 """
 from __future__ import annotations
 
@@ -25,14 +26,14 @@ class SizeGuardError(ValueError):
 def check_size(what: str, actual: int, default_limit: int, override=_FIXED) -> None:
     """Raise :class:`SizeGuardError` when ``actual`` exceeds the effective cap.
 
-    ``override`` replaces the default cap when it is an int (CLI ``--max-n``)
-    and keeps it when it is None.  A call that passes no ``override`` has a
-    fixed cap, and its refusal says that the cap is fixed.  A negative size
-    is refused with a plain :class:`ValueError`.
+    An int ``override`` (CLI ``--max-n``) only ever raises the cap: the cap
+    is the larger of the two.  None keeps the default cap.  A call that
+    passes no ``override`` has a fixed cap, and its refusal says that the cap
+    is fixed.  A negative size is refused with a plain :class:`ValueError`.
     """
     if actual < 0:
         raise ValueError(f"{what}: size {actual} is negative")
     fixed = override is _FIXED
-    limit = default_limit if fixed or override is None else override
+    limit = default_limit if fixed or override is None else max(default_limit, override)
     if actual > limit:
         raise SizeGuardError(what, actual, limit, fixed)

@@ -29,6 +29,9 @@ class Graph:
     labels: Optional[tuple] = None
 
     def __post_init__(self):
+        # by type, since True and 2.0 compare equal to a vertex count
+        if type(self.n) is not int or self.n < 0:
+            raise ValueError(f"the vertex count must be a non-negative int; got {self.n!r}")
         norm = set()
         for e in self.edges:
             u, v = e
@@ -123,23 +126,18 @@ def _maps(a: Graph, b: Graph, fits: Callable) -> Iterator[tuple]:
     """Each map of the vertices of ``a`` to distinct vertices of ``b`` that
     keeps edges and non-edges (1-based tuple: image of each a-vertex), lazily.
     The vertices of ``a`` are mapped one at a time, in decreasing order of
-    degree, off a stack of their candidates still to try, so no Python frame
-    is taken per vertex; a pair ``(av, bv)`` is tried only when
-    ``fits(av, bv, deg_a(av), deg_b(bv))`` holds.
-
-    The pair is consistent when bv's neighbours among the used b-vertices
-    are exactly the images of av's neighbours among the mapped a-vertices:
-    one comparison of neighbour masks."""
+    degree, off a stack with one entry per mapped vertex (the b-vertices it
+    has still to try, in increasing order), so no Python frame is taken per
+    vertex.  A b-vertex ``bv`` is taken for ``av`` when it is unused, when
+    its neighbours among the used b-vertices are exactly the images of av's
+    neighbours among the mapped a-vertices (one comparison of neighbour
+    masks), and then when ``fits(av, bv, deg_a(av), deg_b(bv))`` holds."""
     aadj, badj = _adjacency(a), _adjacency(b)
     adeg = [m.bit_count() for m in aadj]
     order = sorted(range(1, a.n + 1), key=adeg.__getitem__, reverse=True)
     earlier = [[w for w in order[:i] if aadj[v] >> w & 1] for i, v in enumerate(order)]
-    candidates = [
-        [bv for bv in range(1, b.n + 1) if fits(av, bv, adeg[av], badj[bv].bit_count())]
-        for av in order
-    ]
     image = [0] * (a.n + 1)
-    stack, used = [], 0  # per a-vertex: candidates left, mask to match, b-vertices used
+    stack, used = [], 0  # per a-vertex: b-vertices left, mask to match, b-vertices used
     while True:
         if len(stack) == len(order):
             yield tuple(image[1:])
@@ -147,17 +145,20 @@ def _maps(a: Graph, b: Graph, fits: Callable) -> Iterator[tuple]:
             want = 0
             for w in earlier[len(stack)]:
                 want |= 1 << image[w]
-            stack.append((iter(candidates[len(stack)]), want, used))
-        # the next consistent candidate of the deepest a-vertex that has one
+            stack.append((iter(range(1, b.n + 1)), want, used))
+        # the next consistent b-vertex of the deepest a-vertex that has one
         while stack:
             rest, want, used = stack[-1]
+            av = order[len(stack) - 1]
             for bv in rest:
-                if not used >> bv & 1 and badj[bv] & used == want:
+                if used >> bv & 1 or badj[bv] & used != want:
+                    continue
+                if fits(av, bv, adeg[av], badj[bv].bit_count()):
                     break
             else:
                 stack.pop()
                 continue
-            image[order[len(stack) - 1]] = bv
+            image[av] = bv
             used |= 1 << bv
             break
         else:
@@ -173,12 +174,17 @@ def induced_embeds(
 
     When both graphs carry labels, the embedding must dominate: the h-label
     is required to lie below the image's g-label in ``poset`` (identity
-    comparison when no poset is given).
+    comparison when no poset is given).  A label outside ``poset`` is
+    refused with ``ValueError`` before the search starts.
     """
     if h.n > g.n:
         return None
     use_labels = h.labels is not None and g.labels is not None
     leq = operator.eq if poset is None else poset.leq
+    if use_labels and poset is not None:
+        for label in itertools.chain(h.labels, g.labels):
+            if label not in poset:
+                raise ValueError(f"label {label!r} is not a poset element")
 
     def fits(hv: int, gv: int, hd: int, gd: int) -> bool:
         return gd >= hd and (not use_labels or leq(h.labels[hv - 1], g.labels[gv - 1]))
@@ -228,58 +234,46 @@ def automorphisms(g: Graph, max_n: Optional[int] = None) -> list:
 # structural predicates
 
 
+def _components(g: Graph) -> tuple:
+    """The number of connected components of ``g``, and whether every one of
+    them is 2-colourable, from one breadth-first search over the neighbour
+    masks, one level at a time.  A component is 2-colourable when no edge
+    joins two vertices of the same level: colour the levels alternately."""
+    adj = _adjacency(g)
+    unseen = (1 << g.n + 1) - 2
+    count, clash = 0, 0
+    while unseen:
+        count += 1
+        level = unseen & -unseen  # the least unseen vertex starts a component
+        while level:
+            unseen &= ~level
+            reach, rest = 0, level
+            while rest:
+                v = rest.bit_length() - 1
+                rest ^= 1 << v
+                reach |= adj[v]
+                clash |= adj[v] & level
+            level = reach & unseen
+    return count, not clash
+
+
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        u = frontier.pop()
-        for v in g.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return len(seen) == g.n
+    return _components(g)[0] == 1
 
 
 def is_bipartite(g: Graph) -> bool:
-    color = {}
-    for start in range(1, g.n + 1):
-        if start in color:
-            continue
-        color[start] = 0
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for v in g.neighbors(u):
-                if v not in color:
-                    color[v] = 1 - color[u]
-                    frontier.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
+    return _components(g)[1]
 
 
 def is_forest(g: Graph) -> bool:
-    parent = list(range(g.n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    """True iff the graph has no cycle: a forest on n vertices with c
+    components has exactly n - c edges, and any other graph has more."""
+    return len(g.edges) == g.n - _components(g)[0]
 
 
 # Each predicate below tests its cheapest necessary condition first: the
 # degree test stops at the first vertex that fails it, before any
-# union-find or connectivity search is run.
+# component search is run.
 
 
 def is_linear_forest(g: Graph) -> bool:

@@ -116,6 +116,12 @@ class TestEnumeration:
         # the override widens the guard rather than silently truncating
         assert len(enumerate_members(SEPARABLE, 5, max_n=12)) == 90
 
+    def test_override_below_the_cap_keeps_the_cap(self):
+        # an override only ever raises a cap, so a smaller one refuses nothing
+        assert len(enumerate_members(SEPARABLE, 6, max_n=5)) == 394
+        with pytest.raises(SizeGuardError, match="limit 10;"):
+            enumerate_members(avoiding((1, 2)), 11, max_n=5)
+
     def test_sorted_output(self):
         ms = enumerate_members(SEPARABLE, 3)
         assert ms == tuple(sorted(ms))

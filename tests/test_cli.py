@@ -515,6 +515,15 @@ class TestExitCodesAndGuards:
         assert "warning: size guards raised to 12" in err
         assert out.splitlines()[-1] == "5,1"
 
+    def test_max_n_below_the_cap_keeps_the_cap(self, capsys):
+        code, out, err = run(
+            capsys, "enumerate", "6", "--class", AV321_JSON, "--max-n", "5"
+        )
+        assert code == 0 and "size-guard refusal" not in err
+        assert out.splitlines()[-1] == "6,132"
+        code, out, err = run(capsys, "grid-member", "4321", "--matrix", X_JSON, "--max-n", "3")
+        assert code == 0 and "size-guard refusal" not in err
+
     def test_negative_length_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "enumerate", "-3", "--class", AV12_JSON)
         assert code == 2 and out == ""

@@ -820,6 +820,10 @@ class TestGuards:
         with pytest.raises(SizeGuardError):
             grid_member(long_identity, X_MATRIX)
         assert grid_member(long_identity, X_MATRIX, max_n=13) is not None
+        # an override below the cap of 12 keeps the cap
+        assert grid_member((4, 3, 2, 1), X_MATRIX, max_n=3) is not None
+        with pytest.raises(SizeGuardError, match="limit 12;"):
+            grid_member(long_identity, X_MATRIX, max_n=3)
 
     def test_geom_member_guard(self):
         with pytest.raises(SizeGuardError):

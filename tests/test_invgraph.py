@@ -15,8 +15,10 @@ from permpat import (
     Graph,
     SizeGuardError,
     all_isomorphisms,
+    all_matrices,
     all_perms,
     automorphisms,
+    cell_graph,
     classify,
     cycle_graph,
     find_isomorphism,
@@ -82,6 +84,12 @@ class TestGraphBasics:
             Graph(2, frozenset({(1, 3)}))
         with pytest.raises(ValueError):
             Graph(2, frozenset({(1, 1)}))
+
+    @pytest.mark.parametrize("n", [-1, True, 2.0])
+    def test_rejects_a_vertex_count_that_is_no_non_negative_int(self, n):
+        # True and 2.0 compare equal to ints, and -1 has no vertices to search
+        with pytest.raises(ValueError, match="non-negative int"):
+            Graph(n, frozenset())
 
     def test_degrees(self):
         g = path_graph(4)
@@ -177,6 +185,61 @@ class TestEmbeddingsAndIsomorphism:
             assert induced_embeds(g, g) == identity
             assert is_isomorphic(g, g)
             assert find_isomorphism(g, g) == identity
+
+    def test_long_path_compares_each_vertex_about_once(self):
+        # candidates are filtered as the search reaches them: on a path the
+        # first b-vertex that fits each a-vertex is taken, so the label
+        # comparisons stay near one per vertex rather than one per pair
+        n = 1200
+        identity = tuple(range(1, n + 1))
+        poset = CountingPoset(("o",))
+        g = Graph(n, path_graph(n).edges, ("o",) * n)
+        assert induced_embeds(g, g, poset) == identity
+        assert poset.calls <= 2 * n
+        compared = []
+        g = Graph(n, path_graph(n).edges, tuple([CountingLabel(compared) for _ in range(n)]))
+        assert find_isomorphism(g, g) == identity
+        assert len(compared) <= 2 * n
+
+    @pytest.mark.parametrize("side", ["pattern", "host"])
+    def test_label_outside_the_poset_refused_before_the_search(self, side, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("the search started before the refusal")
+
+        edge = Graph(2, path_graph(2).edges, ("lo", "lo"))
+        path = Graph(3, path_graph(3).edges, ("lo", "hi", "hi"))
+        assert induced_embeds(edge, path, LABEL_CHAIN) == (1, 2)
+        if side == "pattern":
+            edge = Graph(2, edge.edges, ("lo", "zzz"))
+        else:
+            path = Graph(3, path.edges, ("lo", "hi", "zzz"))
+        monkeypatch.setattr(ig, "_maps", no_search)
+        with pytest.raises(ValueError, match="'zzz' is not a poset element"):
+            induced_embeds(edge, path, LABEL_CHAIN)
+
+
+class CountingPoset(FinitePoset):
+    """A poset that counts the calls of its ``leq``."""
+
+    calls = 0
+
+    def leq(self, a, b):
+        self.calls += 1
+        return super().leq(a, b)
+
+
+class CountingLabel:
+    """A label equal to any other, which notes each comparison in the list
+    it is given."""
+
+    def __init__(self, compared):
+        self.compared = compared
+
+    def __eq__(self, other):
+        self.compared.append(other)
+        return True
+
+    __hash__ = object.__hash__
 
 
 def brute_embeddings(h, g, leq):
@@ -399,10 +462,65 @@ class TestStructuralPredicates:
         assert not flags["is_cycle"]
 
 
+def list_search_is_connected(g):
+    """The ``is_connected`` the component search replaced: a search off a
+    list of vertices, reading ``Graph.neighbors``."""
+    if g.n == 0:
+        return False
+    seen = {1}
+    frontier = [1]
+    while frontier:
+        u = frontier.pop()
+        for v in g.neighbors(u):
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return len(seen) == g.n
+
+
+def colouring_is_bipartite(g):
+    """The ``is_bipartite`` the component search replaced: a search that
+    2-colours each component and stops at the first edge inside a colour."""
+    color = {}
+    for start in range(1, g.n + 1):
+        if start in color:
+            continue
+        color[start] = 0
+        frontier = [start]
+        while frontier:
+            u = frontier.pop()
+            for v in g.neighbors(u):
+                if v not in color:
+                    color[v] = 1 - color[u]
+                    frontier.append(v)
+                elif color[v] == color[u]:
+                    return False
+    return True
+
+
+def union_find_is_forest(g):
+    """The ``is_forest`` the component search replaced: a union-find over
+    the edges that stops at the first edge inside a component."""
+    parent = list(range(g.n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in g.edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
 def connectivity_first_is_cycle(g):
     """The ``is_cycle`` the degree-first order replaced: a connectivity
     search on every graph with at least 3 vertices, then the degree test."""
-    return g.n >= 3 and is_connected(g) and all(g.degree(v) == 2 for v in range(1, g.n + 1))
+    return g.n >= 3 and list_search_is_connected(g) and all(g.degree(v) == 2 for v in range(1, g.n + 1))
 
 
 def connectivity_first_is_path(g):
@@ -410,8 +528,8 @@ def connectivity_first_is_path(g):
     search, then a union-find, then the degree test."""
     return (
         g.n >= 1
-        and is_connected(g)
-        and is_forest(g)
+        and list_search_is_connected(g)
+        and union_find_is_forest(g)
         and all(g.degree(v) <= 2 for v in range(1, g.n + 1))
     )
 
@@ -469,15 +587,69 @@ def cycles_and_paths(rng, n):
     return Graph(n, frozenset(tuple(e) for e in edges))
 
 
+def component_mix(rng, n):
+    """The vertices 1..n shuffled and cut into runs, each left as isolated
+    vertices or made a random tree, a cycle (odd or even) or a random graph:
+    several components, isolated vertices and odd cycles."""
+    order = rng.sample(range(1, n + 1), n)
+    cuts = sorted(rng.sample(range(1, n), min(max(n - 1, 0), rng.randint(0, 3))))
+    edges = set()
+    for run in (order[i:j] for i, j in zip([0, *cuts], [*cuts, n])):
+        shape = rng.randrange(4)
+        if shape == 1:
+            edges.update(frozenset((v, rng.choice(run[:i]))) for i, v in enumerate(run) if i)
+        elif shape == 2 and len(run) >= 3:
+            edges.update(frozenset(pair) for pair in zip(run, run[1:] + run[:1]))
+        elif shape == 3:
+            edges.update(frozenset(pair) for pair in itertools.combinations(run, 2) if rng.random() < 0.5)
+    return Graph(n, frozenset(tuple(e) for e in edges))
+
+
 def oracle_flags(g):
-    """``classify`` with its path, cycle and linear-forest flags from the
-    connectivity-first oracles."""
+    """``classify`` with every flag but the cograph and prime ones from the
+    replaced kernels: the list search, the colouring search, the union-find
+    and the connectivity-first orders."""
     return {
         **classify(g),
         "is_path": connectivity_first_is_path(g),
         "is_cycle": connectivity_first_is_cycle(g),
-        "is_linear_forest": is_forest(g) and all(g.degree(v) <= 2 for v in range(1, g.n + 1)),
+        "is_linear_forest": union_find_is_forest(g) and all(g.degree(v) <= 2 for v in range(1, g.n + 1)),
+        "is_forest": union_find_is_forest(g),
+        "is_bipartite": colouring_is_bipartite(g),
+        "is_connected": list_search_is_connected(g),
     }
+
+
+class TestComponentSearchAgainstReplacedKernels:
+    """``is_connected``, ``is_bipartite`` and ``is_forest`` read one
+    component search; they must agree with the three searches it replaced
+    also on graphs that no permutation produces."""
+
+    def test_seeded_graphs_of_up_to_nine_vertices(self):
+        rng = random.Random(2606)
+        seen = set()
+        for i in range(1500):
+            n = rng.randint(0, 9)
+            g = (random_graph, component_mix, cycles_and_paths)[i % 3 if n >= 3 else 1](rng, n)
+            flags = classify(g)
+            assert flags == oracle_flags(g), g
+            seen.add((flags["is_connected"], flags["is_bipartite"], flags["is_forest"]))
+        # every combination that can occur: a forest is bipartite
+        assert seen == {(c, b, f) for c in (False, True) for b in (False, True) for f in (False, b)}
+
+    def test_cell_graph_of_every_matrix_up_to_two_by_two(self):
+        forests = 0
+        for m in all_matrices(2, 2):
+            g = cell_graph(m)
+            assert classify(g) == oracle_flags(g), m
+            forests += is_forest(g)
+        assert forests == 86
+
+    def test_component_counts(self):
+        assert ig._components(Graph(0, frozenset())) == (0, True)
+        assert ig._components(Graph(3, frozenset())) == (3, True)
+        assert ig._components(ig.graph_from_edges(7, [(1, 2), (2, 3), (1, 3), (5, 6)])) == (4, False)
+        assert ig._components(cycle_graph(6)) == (1, True)
 
 
 class TestDegreeFirstPredicates:

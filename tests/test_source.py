@@ -87,6 +87,8 @@ def test_containment_search_is_one_loop():
         ],
         ("classes", "closure_member"),
         ("invgraph", "_maps"),
+        ("invgraph", "_components"),
+        ("invgraph", "is_forest"),
         ("grids", "_fitting_cuts"),
     ],
 )
